@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 _BRANCH = 0.25  # |xi|^2 at the branch circle
 _SERIES_Z = 1e-8  # switch to Taylor when |t^2 (|xi|^2 - 1/4)| is below this
@@ -92,11 +93,24 @@ class SpatialGrid:
             out.append(sym)
         return out
 
+    @cached_property
+    def gradient_weights(self) -> np.ndarray:
+        """Per-mode w with ||grad u||^2 = sum(w |u_hat|^2), u_hat = to_spectrum(u).
+
+        Parseval for the Nyquist-zeroed symbols of :meth:`gradient`: the
+        unpaired first and last planes of the halved axis count once, the
+        others twice, and 1/N^dim undoes the unnormalized forward transform.
+        """
+        pair = np.full(self.points_per_dim // 2 + 1, 2.0)
+        pair[0] = pair[-1] = 1.0
+        sym2 = sum(np.abs(sym) ** 2 for sym in self.grad_symbols)
+        return sym2 * pair * (self.cell_volume / self.points_per_dim**self.dim)
+
     def to_spectrum(self, field: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(field)
+        return scipy.fft.rfftn(field)
 
     def to_field(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spectrum, s=self.shape, axes=range(self.dim))
+        return scipy.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(self.dim)))
 
     def l2_norm(self, field: np.ndarray) -> float:
         return float(np.sqrt(np.sum(field**2) * self.cell_volume))
@@ -104,6 +118,10 @@ class SpatialGrid:
     def gradient(self, field: np.ndarray) -> list[np.ndarray]:
         spec = self.to_spectrum(field)
         return [self.to_field(sym * spec) for sym in self.grad_symbols]
+
+    def gradient_l2_squared(self, spectrum: np.ndarray) -> float:
+        """||grad u||_2^2 from u's spectrum, equal to the norm of :meth:`gradient`."""
+        return float(np.vdot(spectrum, self.gradient_weights * spectrum).real)
 
     def exterior_l2(self, field: np.ndarray, radius: float) -> float:
         """L2 norm of the field restricted to |x| > radius."""
@@ -202,15 +220,6 @@ def dk1_hat(t: float, xi_abs2) -> np.ndarray:
 # propagation
 # ---------------------------------------------------------------------------
 
-def _homogeneous(uh, vh, t, xi2):
-    k0 = k0_hat(t, xi2)
-    k1 = k1_hat(t, xi2)
-    mix = 0.5 * uh + vh
-    wh = k0 * uh + k1 * mix
-    wth = (-0.5 * k0 - (xi2 - _BRANCH) * k1) * uh + (k0 - 0.5 * k1) * mix
-    return wh, wth
-
-
 def linear_evolve(state0: FieldState, t: float) -> FieldState:
     """Advance the free (zero forcing) flow by a duration t >= 0.
 
@@ -224,19 +233,25 @@ def linear_evolve(state0: FieldState, t: float) -> FieldState:
     grid = state0.grid
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
-    wh, wth = _homogeneous(uh, vh, t, grid.xi_squared)
+    zero = np.zeros_like(uh)
+    wh, wth = StepCoefficients(grid, t).advance(uh, vh, zero, zero)
     return FieldState(grid, grid.to_field(wh), grid.to_field(wth), state0.time + t)
 
 
 class StepCoefficients:
-    """Per-mode weights for one Duhamel step of fixed size.
+    """One Duhamel step of fixed size as a real 2x4 matrix per mode.
 
-    The forcing enters the velocity equation only; over one step it is
-    interpolated linearly between its endpoint samples and the resulting
-    integrals are closed-form in the exponential-trigonometric family:
-    ``relax = 1 - k0 - k1/2`` equals |xi|^2 * int_0^h k1, so the particular
-    solution needs nothing beyond the stable symbol evaluations.  The zero
-    mode (u'' + u' = f) is handled by its own exact weights.
+    The matrix maps (u_hat, mix, f_hat at the step start, f_hat at the step
+    end), with mix = u_hat/2 + v_hat, to (u_hat, v_hat) one step later; the
+    free-flow columns are (k0, k1) and their time derivatives, so the free
+    flow is evaluated exactly as the symbols define it.  The forcing enters
+    the velocity equation only; over one step it is interpolated linearly
+    between its endpoint samples and the resulting integrals are closed-form
+    in the exponential-trigonometric family: ``relax = 1 - k0 - k1/2`` equals
+    |xi|^2 * int_0^h k1, so the particular solution needs nothing beyond the
+    stable symbol evaluations.  The zero mode (u'' + u' = f) has its own exact
+    weights.  All divisions happen here, once; :meth:`advance` only
+    multiplies and adds.
     """
 
     def __init__(self, grid: SpatialGrid, dt: float):
@@ -244,40 +259,36 @@ class StepCoefficients:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.dt = dt
-        xi2 = grid.xi_squared
-        self.xi2 = xi2
-        self.k0 = k0_hat(dt, xi2)
-        self.k1 = k1_hat(dt, xi2)
-        self.dk0 = -0.5 * self.k0 - (xi2 - _BRANCH) * self.k1
-        self.dk1 = self.k0 - 0.5 * self.k1
-        self.relax = 1.0 - self.k0 - 0.5 * self.k1
-        self.zero_mask = xi2 == 0.0
+        nu = grid.xi_squared
+        k0 = k0_hat(dt, nu)
+        k1 = k1_hat(dt, nu)
+        relax = 1.0 - k0 - 0.5 * k1
+        zero = nu == 0.0
+        nz = np.where(zero, 1.0, nu)
+        # forcing f0 + (f1 - f0) s/dt: the response to f0 plus the response
+        # to the slope (f1 - f0)/dt, split onto the two endpoint samples
+        slope_u = (dt - k1 - relax / nz) / (nz * dt)
+        slope_v = relax / (nz * dt)
         em = np.expm1(-dt)
         wv_start = -em * (1.0 + 1.0 / dt) - 1.0
         wv_end = 1.0 + em / dt
-        self.zero_weights = (
-            dt / 2.0 - wv_start,  # u weight, start sample
-            dt / 2.0 - wv_end,  # u weight, end sample
-            wv_start,  # v weight, start sample
-            wv_end,  # v weight, end sample
-        )
+        self.matrix = np.stack([
+            [k0, k1,
+             np.where(zero, dt / 2.0 - wv_start, relax / nz - slope_u),
+             np.where(zero, dt / 2.0 - wv_end, slope_u)],
+            [-0.5 * k0 - (nu - _BRANCH) * k1, k0 - 0.5 * k1,
+             np.where(zero, wv_start, k1 - slope_v),
+             np.where(zero, wv_end, slope_v)],
+        ])
 
     def advance(self, uh, vh, f0h, f1h):
         """One step in spectral space; forcing samples at both step endpoints."""
+        (uu, um, u0, u1), (vu, vm, v0, v1) = self.matrix
         mix = 0.5 * uh + vh
-        up = self.k0 * uh + self.k1 * mix
-        vp = self.dk0 * uh + self.dk1 * mix
-        nu = self.xi2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (f1h - f0h) / (nu * self.dt)
-            offset = (f0h - slope) / nu
-            uc = offset * self.relax + slope * (self.dt - self.k1)
-            vc = slope * self.relax + f0h * self.k1
-        zm = self.zero_mask
-        wu0, wu1, wv0, wv1 = self.zero_weights
-        uc[zm] = f0h[zm] * wu0 + f1h[zm] * wu1
-        vc[zm] = f0h[zm] * wv0 + f1h[zm] * wv1
-        return up + uc, vp + vc
+        return (
+            (uu * uh + um * mix) + (u0 * f0h + u1 * f1h),
+            (vu * uh + vm * mix) + (v0 * f0h + v1 * f1h),
+        )
 
 
 def duhamel_step(

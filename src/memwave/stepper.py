@@ -5,6 +5,12 @@ stepwise Duhamel update: the linear flow is exact per Fourier mode, the
 memory forcing is maintained incrementally with product-integration weights
 (cost O(m) per step, O(M^2) per run), and the implicit endpoint forcing is
 resolved by a single predictor-corrector pass.
+
+A step applies one precomputed per-mode propagator
+(:class:`~memwave.spectral.StepCoefficients`) twice and costs six FFTs in any
+dimension: the known part of the memory sum, the predicted u and its |u|^p,
+the new u and v, and the new |u|^p sample.  ||grad u||_2 in the per-step
+records is taken from u's spectrum by Parseval.
 """
 
 from __future__ import annotations
@@ -275,14 +281,19 @@ def memory_forcing(history: SolutionHistory, node: int) -> np.ndarray:
 
 
 def _power_p(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p with |u| = 0 mapped exactly to 0 for non-integer p."""
+    """|u|^p with |u| = 0 mapped exactly to 0 for non-integer p.
+
+    exp(p log|u|) in place: log 0 = -inf gives exactly 0, and fmax sends NaN
+    to 0 before the logarithm.
+    """
     absu = np.abs(u)
     if float(p).is_integer():
         return absu ** int(p)
-    out = np.zeros_like(absu)
-    nz = absu > 0.0
-    out[nz] = np.exp(p * np.log(absu[nz]))
-    return out
+    np.fmax(absu, 0.0, out=absu)
+    with np.errstate(divide="ignore"):
+        np.log(absu, out=absu)
+    absu *= p
+    return np.exp(absu, out=absu)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +315,13 @@ def detect_blowup(record: StepRecord, initial: StepRecord, threshold: float) -> 
     return value >= threshold * base
 
 
-def _make_record(config: ScenarioConfig, state: FieldState, forcing_l2: float) -> StepRecord:
+def _make_record(
+    config: ScenarioConfig, state: FieldState, uh: np.ndarray, forcing_l2: float
+) -> StepRecord:
+    """Norms of ``state``; ||grad u||^2 comes from u's spectrum ``uh`` by Parseval."""
     grid = config.grid
     l2_u = grid.l2_norm(state.u)
-    grad2 = sum(grid.l2_norm(c) ** 2 for c in grid.gradient(state.u))
+    grad2 = grid.gradient_l2_squared(uh)
     l2_ut2 = grid.l2_norm(state.v) ** 2
     return StepRecord(
         t=state.time,
@@ -325,14 +339,18 @@ def run(config: ScenarioConfig) -> SolutionHistory:
     Each step applies the exact one-step flow with the forcing interpolated
     linearly between its endpoint values; the endpoint value at the new node
     is implicit in |u|^p and is resolved by one predictor (newest nonlinearity
-    sample frozen) and one corrector pass.
+    sample frozen) and one corrector pass.  The forcing is linear in the
+    samples, so its spectra are sums of the known part's spectrum and single
+    samples' spectra.
     """
     grid = config.grid
     M = config.n_steps
     state0 = make_initial_data(config)
+    uh = grid.to_spectrum(state0.u)
+    vh = grid.to_spectrum(state0.v)
     history = SolutionHistory(config)
     history.states.append(state0)
-    history.records.append(_make_record(config, state0, 0.0))
+    history.records.append(_make_record(config, state0, uh, 0.0))
 
     nonlinear = config.nonlinearity_enabled
     if nonlinear:
@@ -341,12 +359,12 @@ def run(config: ScenarioConfig) -> SolutionHistory:
         F = np.zeros(gshape)
         G[0] = _power_p(state0.u, config.p)
         conv = MemoryConvolution(config.gamma, config.dt, M)
+        w = conv.tail_weight
+        gh = grid.to_spectrum(G[0])
         history.nonlinearity_record = G
         history.forcing_record = F
 
     coeffs = StepCoefficients(grid, config.dt)
-    uh = grid.to_spectrum(state0.u)
-    vh = grid.to_spectrum(state0.v)
     fh_start = np.zeros_like(uh)
     initial_record = history.records[0]
 
@@ -358,42 +376,38 @@ def run(config: ScenarioConfig) -> SolutionHistory:
             history.forcing_record = F[:n]
         return history
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(M):
-                t_next = (m + 1) * config.dt
-                if nonlinear:
-                    known = conv.known_part(G, m + 1)
-                    fh_pred = grid.to_spectrum(known + conv.tail_weight * G[m])
-                    uh_star, _ = coeffs.advance(uh, vh, fh_start, fh_pred)
-                    g_star = _power_p(grid.to_field(uh_star), config.p)
-                    fh_end = grid.to_spectrum(known + conv.tail_weight * g_star)
-                    uh, vh = coeffs.advance(uh, vh, fh_start, fh_end)
-                else:
-                    uh, vh = coeffs.advance(uh, vh, fh_start, fh_start)
-                u = grid.to_field(uh)
-                v = grid.to_field(vh)
-                if not (np.isfinite(u).all() and np.isfinite(v).all()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(M):
+            t_next = (m + 1) * config.dt
+            if nonlinear:
+                known = conv.known_part(G, m + 1)
+                kh = grid.to_spectrum(known)
+                uh_star, _ = coeffs.advance(uh, vh, fh_start, kh + w * gh)
+                g_star = _power_p(grid.to_field(uh_star), config.p)
+                fh_end = kh + w * grid.to_spectrum(g_star)
+                uh, vh = coeffs.advance(uh, vh, fh_start, fh_end)
+            else:
+                uh, vh = coeffs.advance(uh, vh, fh_start, fh_start)
+            u = grid.to_field(uh)
+            v = grid.to_field(vh)
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                return _finish(RunStatus.blow_up(t_next))
+            state = FieldState(grid, u, v, t_next)
+            if nonlinear:
+                G[m + 1] = _power_p(u, config.p)
+                F[m + 1] = known + w * G[m + 1]
+                if not np.isfinite(F[m + 1]).all():
                     return _finish(RunStatus.blow_up(t_next))
-                state = FieldState(grid, u, v, t_next)
-                if nonlinear:
-                    G[m + 1] = _power_p(u, config.p)
-                    F[m + 1] = known + conv.tail_weight * G[m + 1]
-                    if not np.isfinite(F[m + 1]).all():
-                        return _finish(RunStatus.blow_up(t_next))
-                    fh_start = grid.to_spectrum(F[m + 1])
-                    forcing_l2 = grid.l2_norm(F[m + 1])
-                else:
-                    forcing_l2 = 0.0
-                record = _make_record(config, state, forcing_l2)
-                history.states.append(state)
-                history.records.append(record)
-                if detect_blowup(record, initial_record, config.blowup_threshold):
-                    return _finish(RunStatus.blow_up(t_next))
-    except FloatingPointError as exc:  # pragma: no cover - defensive
-        return _finish(
-            RunStatus.failure(len(history.records) * config.dt, str(exc))
-        )
+                gh = grid.to_spectrum(G[m + 1])
+                fh_start = kh + w * gh
+                forcing_l2 = grid.l2_norm(F[m + 1])
+            else:
+                forcing_l2 = 0.0
+            record = _make_record(config, state, uh, forcing_l2)
+            history.states.append(state)
+            history.records.append(record)
+            if detect_blowup(record, initial_record, config.blowup_threshold):
+                return _finish(RunStatus.blow_up(t_next))
 
     return _finish(RunStatus.completed())
 

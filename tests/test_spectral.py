@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from memwave.spectral import (
     FieldState,
     SpatialGrid,
+    StepCoefficients,
     SymbolTable,
     dk0_hat,
     dk1_hat,
@@ -297,6 +298,54 @@ def test_k1_convolution_l2_boundedness_and_decay():
 # ---------------------------------------------------------------------------
 # duhamel step
 # ---------------------------------------------------------------------------
+
+def _slope_offset_advance(grid, dt, uh, vh, f0h, f1h):
+    """The step as evaluated before the propagator matrix: per-call slope and
+    offset divisions, zero mode patched with its exact weights."""
+    xi2 = grid.xi_squared
+    k0 = k0_hat(dt, xi2)
+    k1 = k1_hat(dt, xi2)
+    dk0 = -0.5 * k0 - (xi2 - 0.25) * k1
+    dk1 = k0 - 0.5 * k1
+    relax = 1.0 - k0 - 0.5 * k1
+    mix = 0.5 * uh + vh
+    up = k0 * uh + k1 * mix
+    vp = dk0 * uh + dk1 * mix
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (f1h - f0h) / (xi2 * dt)
+        offset = (f0h - slope) / xi2
+        uc = offset * relax + slope * (dt - k1)
+        vc = slope * relax + f0h * k1
+    em = np.expm1(-dt)
+    wv0 = -em * (1.0 + 1.0 / dt) - 1.0
+    wv1 = 1.0 + em / dt
+    zm = xi2 == 0.0
+    uc[zm] = f0h[zm] * (dt / 2.0 - wv0) + f1h[zm] * (dt / 2.0 - wv1)
+    vc[zm] = f0h[zm] * wv0 + f1h[zm] * wv1
+    return up + uc, vp + vc
+
+
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("stretch", [1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-3])
+def test_step_matrix_matches_slope_offset_oracle(dim, points, stretch):
+    # half_length 2 pi puts the first mode of every axis on the branch circle
+    # |xi|^2 = 1/4 (inside the Taylor window for the two 1e-9 stretches, just
+    # outside it for 1e-3); the zero mode is always present
+    grid = SpatialGrid(dim, 2.0 * math.pi * stretch, points)
+    assert np.min(np.abs(grid.xi_squared - 0.25)) < 1e-3
+    rng = np.random.default_rng(dim)
+    shape = grid.xi_squared.shape
+    uh, vh, f0h, f1h = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)
+    )
+    scale = np.abs(uh) + np.abs(vh) + np.abs(f0h) + np.abs(f1h)
+    for dt in (0.05, 0.25, 1.3):
+        got = StepCoefficients(grid, dt).advance(uh, vh, f0h, f1h)
+        want = _slope_offset_advance(grid, dt, uh, vh, f0h, f1h)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-12 * scale)
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
 
 def test_duhamel_zero_forcing_equals_linear_evolve(grid1d):
     state = bump_state(grid1d)

@@ -18,6 +18,7 @@ from memwave.stepper import (
     run,
     suggested_half_length,
 )
+from memwave.stepper import _power_p
 
 
 def small_config(**overrides):
@@ -255,6 +256,55 @@ def test_records_align_with_states():
     np.testing.assert_allclose(np.diff(times), config.dt)
     for record in history.records:
         assert record.l2_u >= 0.0 and math.isfinite(record.l2_u)
+
+
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
+def test_records_match_gradients_of_stored_states(dim, points):
+    # the records take ||grad u||^2 from u's spectrum by Parseval; white-noise
+    # data fills every mode, Nyquist planes included
+    grid = SpatialGrid(dim, 8.0, points)
+    rng = np.random.default_rng(dim)
+    u0 = 0.05 * rng.standard_normal(grid.shape)
+    u1 = 0.05 * rng.standard_normal(grid.shape)
+    config = small_config(
+        grid=grid, p=2.5, support_radius=4.0, dt=0.25, t_end=2.0,
+        data_shape="custom", custom_data=(u0, u1),
+    )
+    history = run(config)
+    assert history.status.phase is Phase.COMPLETED
+    for state, record in zip(history.states, history.records):
+        grad2 = sum(grid.l2_norm(c) ** 2 for c in grid.gradient(state.u))
+        h1_u = math.sqrt(grid.l2_norm(state.u) ** 2 + grad2)
+        l2_du = math.sqrt(grid.l2_norm(state.v) ** 2 + grad2)
+        assert record.h1_u == pytest.approx(h1_u, rel=1e-12)
+        assert record.l2_du == pytest.approx(l2_du, rel=1e-12)
+
+
+def _power_p_gathered(u, p):
+    """|u|^p as computed before the in-place form: boolean gather and scatter."""
+    absu = np.abs(u)
+    if float(p).is_integer():
+        return absu ** int(p)
+    out = np.zeros_like(absu)
+    nz = absu > 0.0
+    out[nz] = np.exp(p * np.log(absu[nz]))
+    return out
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5, 2.718281828])
+def test_power_p_bit_identical_to_gathered_form(p):
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-308,
+                        np.nan, -np.nan, np.inf, -np.inf, 1e-300, 1e300, 1.0, -1.0])
+    rng = np.random.default_rng(17)
+    values = np.concatenate([special, rng.standard_normal(1001),
+                             np.exp(rng.uniform(-700.0, 700.0, 1001))])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = _power_p(values, p)
+        want = _power_p_gathered(values, p)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    if not float(p).is_integer():
+        assert np.isfinite(got[7:9]).all() and (got[7:9] == 0.0).all()  # NaN -> 0
 
 
 def test_runs_are_bit_identical():
