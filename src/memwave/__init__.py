@@ -18,6 +18,7 @@ from .criticality import (
 from .diagnostics import (
     DecayFit,
     TestFunctionParams,
+    WeakPairing,
     cui_bound_check,
     energy_W,
     exterior_energy,
@@ -58,7 +59,7 @@ from .stepper import (
     default_dt,
     detect_blowup,
     make_initial_data,
-    memory_forcing,
+    memory_estimate,
     run,
     suggested_half_length,
 )
@@ -91,7 +92,7 @@ __all__ = [
     "default_dt",
     "suggested_half_length",
     "make_initial_data",
-    "memory_forcing",
+    "memory_estimate",
     "detect_blowup",
     "run",
     "ExponentSet",
@@ -111,6 +112,7 @@ __all__ = [
     "fit_decay_samples",
     "cui_bound_check",
     "gagliardo_ratio",
+    "WeakPairing",
     "weak_residual",
     "__version__",
 ]

@@ -284,35 +284,69 @@ def emit_report(report: SummaryReport, output_dir: Path) -> list[Path]:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _history_rows(
-    history: stepper.SolutionHistory, delta: float, full_resolution: bool
-) -> list[dict]:
-    config = history.config
-    n = config.dim
-    count = len(history.records)
-    stride = 1 if full_resolution else max(1, math.ceil(count / MAX_TIMESERIES_ROWS))
-    indices = list(range(0, count, stride))
-    if indices[-1] != count - 1:
-        indices.append(count - 1)
-    rows = []
-    for i in indices:
-        record = history.records[i]
-        ext = diagnostics.exterior_energy(history.states[i], delta)
-        rows.append(
-            {
-                "t": record.t,
-                "l2_u": record.l2_u,
-                "h1_u": record.h1_u,
-                "l2_du": record.l2_du,
-                "W": diagnostics.energy_W_from_norm(
-                    record.t, record.l2_du, n, config.gamma
-                ),
-                "exterior_energy": ext.value,
-                "forcing_l2": record.forcing_l2,
-                "exterior_mass": record.exterior_mass,
-            }
-        )
-    return rows
+class _RunRows:
+    """Observer of :func:`stepper.run` that builds the rows of a run table.
+
+    Rows sit at multiples of a stride that comes from the planned step count
+    M (1 with ``full_resolution``), and the node a run stops at always gets a
+    row.  Each row's exterior energy is taken while the node streams past,
+    from the spectrum the stepping loop already has; the latest node off the
+    stride is held until the next node arrives, in case the run stops there.
+    """
+
+    def __init__(
+        self, config: stepper.ScenarioConfig, delta: float, full_resolution: bool
+    ):
+        nodes = config.n_steps + 1
+        self.stride = 1 if full_resolution else max(1, math.ceil(nodes / MAX_TIMESERIES_ROWS))
+        self.delta = delta
+        self.exterior: dict[int, float] = {}
+        self._pending = None
+
+    def _exterior(self, state, uh) -> float:
+        return diagnostics.exterior_energy(state, self.delta, uh).value
+
+    def __call__(self, node, state, uh, g, forcing) -> None:
+        if node % self.stride == 0:
+            self.exterior[node] = self._exterior(state, uh)
+            self._pending = None
+        else:
+            self._pending = (node, state, uh)
+
+    def rows(self, history: stepper.SolutionHistory) -> list[dict]:
+        """The table's rows, from the run's records and the observed nodes."""
+        if self._pending is not None:
+            node, state, uh = self._pending
+            self.exterior[node] = self._exterior(state, uh)
+            self._pending = None
+        config = history.config
+        rows = []
+        for node, ext in self.exterior.items():
+            record = history.records[node]
+            rows.append(
+                {
+                    "t": record.t,
+                    "l2_u": record.l2_u,
+                    "h1_u": record.h1_u,
+                    "l2_du": record.l2_du,
+                    "W": diagnostics.energy_W_from_norm(
+                        record.t, record.l2_du, config.dim, config.gamma
+                    ),
+                    "exterior_energy": ext,
+                    "forcing_l2": record.forcing_l2,
+                    "exterior_mass": record.exterior_mass,
+                }
+            )
+        return rows
+
+
+def _simulate_rows(
+    scenario: stepper.ScenarioConfig, manifest: RunManifest
+) -> tuple[stepper.SolutionHistory, list[dict]]:
+    """Run one scenario and return its history with its run-table rows."""
+    observer = _RunRows(scenario, manifest.delta, manifest.full_resolution)
+    history = stepper.run(scenario, observers=(observer,))
+    return history, observer.rows(history)
 
 
 def _default_fit_window(t_end: float) -> tuple[float, float]:
@@ -320,26 +354,33 @@ def _default_fit_window(t_end: float) -> tuple[float, float]:
     return (t_end / math.sqrt(10.0), t_end)
 
 
-def _summarize_run(
-    label: str, scenario: stepper.ScenarioConfig, history: stepper.SolutionHistory
-) -> dict:
-    n = scenario.dim
-    row = {
+def _scenario_row(label: str, scenario: stepper.ScenarioConfig) -> dict:
+    """A summary row with the scenario's inputs and empty outcome cells."""
+    return {
         "label": label,
-        "n": n,
+        "n": scenario.dim,
         "gamma": scenario.gamma,
         "p": scenario.p,
         "K": scenario.support_radius,
         "amplitude": scenario.amplitude,
         "dt": scenario.dt,
         "t_end": scenario.t_end,
-        "status": history.status.phase.value,
-        "t_detect": history.status.t if history.status.t is not None else "",
+        "status": "",
+        "t_detect": "",
         "decay_exponent": "",
         "decay_r2": "",
         "sup_W": "",
         "flag": "",
     }
+
+
+def _summarize_run(
+    label: str, scenario: stepper.ScenarioConfig, history: stepper.SolutionHistory
+) -> dict:
+    n = scenario.dim
+    row = _scenario_row(label, scenario)
+    row["status"] = history.status.phase.value
+    row["t_detect"] = history.status.t if history.status.t is not None else ""
     times = history.times
     l2_du = history.record_array("l2_du")
     if history.status.phase is stepper.Phase.COMPLETED:
@@ -377,8 +418,7 @@ SUMMARY_COLUMNS = (
 
 def _cmd_simulate(manifest: RunManifest) -> SummaryReport:
     report = SummaryReport("simulate", summary_columns=SUMMARY_COLUMNS)
-    history = stepper.run(manifest.scenario)
-    rows = _history_rows(history, manifest.delta, manifest.full_resolution)
+    history, rows = _simulate_rows(manifest.scenario, manifest)
     report.tables["run"] = (RUN_COLUMNS, rows)
     summary = _summarize_run("run", manifest.scenario, history)
     summary["verdict"] = ""
@@ -460,34 +500,50 @@ def _sweep_entries(manifest: RunManifest) -> list[stepper.ScenarioConfig]:
 
 
 def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
+    """Run every entry; an entry that raises becomes an ``error`` row.
+
+    The exception's class goes to the entry's ``flag`` and its message to a
+    note in summary.txt; the other entries complete and are written as usual.
+    """
     report = SummaryReport("sweep", summary_columns=SUMMARY_COLUMNS)
     entries = _sweep_entries(manifest)
 
-    def _one(scenario: stepper.ScenarioConfig) -> stepper.SolutionHistory:
-        return stepper.run(scenario)
+    def _one(scenario: stepper.ScenarioConfig):
+        try:
+            return _simulate_rows(scenario, manifest)
+        except Exception as exc:  # the other entries must still complete
+            return exc
 
     if manifest.workers > 1:
         with concurrent.futures.ThreadPoolExecutor(manifest.workers) as pool:
-            histories = list(pool.map(_one, entries))
+            outcomes = list(pool.map(_one, entries))
     else:
-        histories = [_one(s) for s in entries]
+        outcomes = [_one(s) for s in entries]
 
     map_rows = []
-    for index, (scenario, history) in enumerate(zip(entries, histories)):
+    for index, (scenario, outcome) in enumerate(zip(entries, outcomes)):
         label = f"run_{index:03d}"
         verdict = criticality.classify(
             scenario.dim, scenario.gamma, scenario.p, _traits_for(scenario)
         )
-        summary = _summarize_run(label, scenario, history)
+        if isinstance(outcome, Exception):
+            summary = _scenario_row(label, scenario)
+            summary["status"] = "error"
+            summary["flag"] = type(outcome).__name__
+            report.notes.append(f"{label} failed: {type(outcome).__name__}: {outcome}")
+            rows = None
+        else:
+            history, rows = outcome
+            summary = _summarize_run(label, scenario, history)
+            completed = history.status.phase is stepper.Phase.COMPLETED
+            if verdict.tag == "BlowUpPositiveData" and completed:
+                summary["flag"] = "horizon_too_short"
         summary["verdict"] = verdict.tag
-        completed = history.status.phase is stepper.Phase.COMPLETED
-        if verdict.tag == "BlowUpPositiveData" and completed:
-            summary["flag"] = "horizon_too_short"
         report.summary_rows.append(summary)
-        rows = _history_rows(history, manifest.delta, manifest.full_resolution)
-        report.tables[label] = (RUN_COLUMNS, rows)
-        for row in rows:
-            report.long_rows.append((label, "l2_du", row["t"], row["l2_du"]))
+        if rows is not None:
+            report.tables[label] = (RUN_COLUMNS, rows)
+            for row in rows:
+                report.long_rows.append((label, "l2_du", row["t"], row["l2_du"]))
         map_rows.append(
             {
                 "label": label,
@@ -496,8 +552,8 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
                 "p": scenario.p,
                 "amplitude": scenario.amplitude,
                 "verdict": verdict.tag,
-                "status": history.status.phase.value,
-                "t_detect": history.status.t if history.status.t is not None else "",
+                "status": summary["status"],
+                "t_detect": summary["t_detect"],
                 "flag": summary["flag"],
             }
         )
@@ -760,12 +816,13 @@ def _weak_refinement_pair() -> float:
             dt=8.0 / n_steps,
             t_end=8.0,
         )
-        history = stepper.run(scenario)
         params = diagnostics.TestFunctionParams(
             ell=8, eta=7.0, B=6.0, T=8.0, alpha=frac_ops.FracOrder(1.0 - 0.9)
         )
+        pairing = diagnostics.WeakPairing(params, grid)
+        history = stepper.run(scenario, observers=(pairing,))
         residuals.append(
-            diagnostics.weak_residual(history, params, scenario.p, scenario.gamma)
+            diagnostics.weak_residual(history, pairing, scenario.p, scenario.gamma)
         )
     return residuals[0] / residuals[1]
 

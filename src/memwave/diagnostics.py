@@ -1,9 +1,12 @@
 """Executable diagnostics: weights, energies, decay fits, inequality tables.
 
-Everything here is read-only over completed runs.  One-sided inequalities
-(the singular-convolution bound, the weighted interpolation inequality) are
-reported as ratio tables, never asserted against a specific constant: the
-constants in the underlying estimates are not constructive.
+Everything here is read-only over runs: it reads a state, the per-node
+records of a :class:`~memwave.stepper.SolutionHistory`, or sums that an
+observer (:class:`WeakPairing`) accumulated while the run streamed its
+nodes.  One-sided inequalities (the singular-convolution bound, the
+weighted interpolation inequality) are reported as ratio tables, never
+asserted against a specific constant: the constants in the underlying
+estimates are not constructive.
 """
 
 from __future__ import annotations
@@ -102,11 +105,15 @@ class ExteriorEnergy:
     region_empty: bool
 
 
-def exterior_energy(state: FieldState, delta: float) -> ExteriorEnergy:
+def exterior_energy(
+    state: FieldState, delta: float, spectrum: np.ndarray | None = None
+) -> ExteriorEnergy:
     """||(u_t, grad u)||_2 restricted to |x| > t^(1/2 + delta).
 
     At t = 0 the restriction radius is zero, so the value covers (essentially)
     the full domain.  An empty discrete region yields value 0 with a flag.
+    ``spectrum``, when given, is u's spectrum already in hand (a stepping
+    loop has it) and saves the forward FFT.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -115,7 +122,7 @@ def exterior_energy(state: FieldState, delta: float) -> ExteriorEnergy:
     mask = grid.radius > radius
     if not mask.any():
         return ExteriorEnergy(0.0, True)
-    g2 = sum(c**2 for c in grid.gradient(state.u))
+    g2 = sum(c**2 for c in grid.gradient(state.u, spectrum))
     density = state.v**2 + g2
     value = float(np.sqrt(np.sum(density[mask]) * grid.cell_volume))
     return ExteriorEnergy(value, False)
@@ -455,18 +462,45 @@ def _radial_laplacian_of_power(grid: SpatialGrid, B: float, ell: int) -> np.ndar
     return radial2 + curv * ell * ph ** (ell - 1) * d1
 
 
+class WeakPairing:
+    """Observer of :func:`memwave.stepper.run` that pairs each node with the cutoff.
+
+    Per node it accumulates the grid sums u_cut = <u, phi1^ell>,
+    f_cut = <f, phi1^ell> (0 with the nonlinearity disabled) and
+    u_lap = <u, Laplace(phi1^ell)>, which is all :func:`weak_residual` needs
+    from the fields.
+    """
+
+    def __init__(self, params: TestFunctionParams, grid: SpatialGrid):
+        self.params = params
+        self.dV = grid.cell_volume
+        self.space_cut = cutoff_profile(grid.radius / params.B) ** params.ell
+        self.lap_cut = _radial_laplacian_of_power(grid, params.B, params.ell)
+        self.u_cut: list[float] = []
+        self.f_cut: list[float] = []
+        self.u_lap: list[float] = []
+
+    def __call__(self, node, state, uh, g, forcing) -> None:
+        self.u_cut.append(float(np.sum(state.u * self.space_cut)) * self.dV)
+        self.u_lap.append(float(np.sum(state.u * self.lap_cut)) * self.dV)
+        f_cut = 0.0 if forcing is None else float(np.sum(forcing * self.space_cut)) * self.dV
+        self.f_cut.append(f_cut)
+
+
 def weak_residual(
     history: SolutionHistory,
-    params: TestFunctionParams,
+    pairing: WeakPairing,
     p: float,
     gamma: float,
 ) -> float:
     """|LHS - RHS| of the distributional identity against the cutoff pairing.
 
-    Both sides are discretized with trapezoid weights in time and plain grid
-    sums in space; for a mild solution the residual vanishes under joint
-    refinement of (dt, dx).
+    ``pairing`` observed the run that produced ``history`` and carries the
+    test-function parameters.  Both sides are discretized with trapezoid
+    weights in time and plain grid sums in space; for a mild solution the
+    residual vanishes under joint refinement of (dt, dx).
     """
+    params = pairing.params
     params.validate_for_p(p)
     config = history.config
     if abs(config.gamma - gamma) > 1e-12:
@@ -479,28 +513,16 @@ def weak_residual(
     n_nodes = int(round(params.T / dt)) + 1
     if abs((n_nodes - 1) * dt - params.T) > 1e-9 * max(params.T, 1.0):
         raise ValueError("horizon T must be a whole number of steps")
-    if len(history.states) < n_nodes:
-        raise ValueError("history does not reach the horizon T")
+    if len(pairing.u_cut) < n_nodes:
+        raise ValueError("the pairing did not observe the run up to the horizon T")
 
     tgrid = TimeGrid(dt, n_nodes - 1)
     profiles = time_cutoff_profiles(params, tgrid)
-    grid = config.grid
-    dV = grid.cell_volume
-
-    space_cut = cutoff_profile(grid.radius / params.B) ** params.ell
-    lap_cut = _radial_laplacian_of_power(grid, params.B, params.ell)
-
-    U = np.stack([history.states[m].u for m in range(n_nodes)])
-    if history.forcing_record is not None:
-        Fmem = history.forcing_record[:n_nodes]
-    else:
-        # histories run with the nonlinearity disabled pair against f = 0
-        Fmem = np.zeros_like(U)
-
-    axes = tuple(range(1, U.ndim))
-    u_cut = np.sum(U * space_cut, axis=axes) * dV
-    f_cut = np.sum(Fmem * space_cut, axis=axes) * dV
-    u_lap = np.sum(U * lap_cut, axis=axes) * dV
+    dV = pairing.dV
+    space_cut = pairing.space_cut
+    u_cut = np.array(pairing.u_cut[:n_nodes])
+    f_cut = np.array(pairing.f_cut[:n_nodes])
+    u_lap = np.array(pairing.u_lap[:n_nodes])
 
     w = trapezoid_weights(tgrid)
     u0 = history.states[0].u
@@ -542,5 +564,6 @@ __all__ = [
     "TestFunctionParams",
     "TestFunctionProfiles",
     "time_cutoff_profiles",
+    "WeakPairing",
     "weak_residual",
 ]

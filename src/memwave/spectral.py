@@ -115,8 +115,10 @@ class SpatialGrid:
     def l2_norm(self, field: np.ndarray) -> float:
         return float(np.sqrt(np.sum(field**2) * self.cell_volume))
 
-    def gradient(self, field: np.ndarray) -> list[np.ndarray]:
-        spec = self.to_spectrum(field)
+    def gradient(self, field: np.ndarray, spectrum: np.ndarray | None = None) -> list[np.ndarray]:
+        """Components of grad(field); ``spectrum``, when given, is the field's
+        spectrum already in hand and saves the forward FFT."""
+        spec = self.to_spectrum(field) if spectrum is None else spectrum
         return [self.to_field(sym * spec) for sym in self.grad_symbols]
 
     def gradient_l2_squared(self, spectrum: np.ndarray) -> float:
@@ -250,8 +252,8 @@ class StepCoefficients:
     in the exponential-trigonometric family: ``relax = 1 - k0 - k1/2`` equals
     |xi|^2 * int_0^h k1, so the particular solution needs nothing beyond the
     stable symbol evaluations.  The zero mode (u'' + u' = f) has its own exact
-    weights.  All divisions happen here, once; :meth:`advance` only
-    multiplies and adds.
+    weights.  All divisions happen here, once; stepping only multiplies and
+    adds.
     """
 
     def __init__(self, grid: SpatialGrid, dt: float):
@@ -281,14 +283,26 @@ class StepCoefficients:
              np.where(zero, wv_end, slope_v)],
         ])
 
+    def rows(self, uh, vh, f0h) -> list[tuple]:
+        """Per output row (u_hat, then v_hat): the parts of a step known before
+        its end forcing, ``(free flow, start forcing term, end forcing weight)``.
+
+        :meth:`finish` completes a row for one end forcing, so a
+        predictor-corrector step forms these products once for both passes.
+        """
+        mix = 0.5 * uh + vh
+        return [(cu * uh + cm * mix, c0 * f0h, c1) for cu, cm, c0, c1 in self.matrix]
+
+    @staticmethod
+    def finish(row: tuple, f1h):
+        """A row of :meth:`rows` one step later for the end forcing ``f1h``."""
+        free, start, weight = row
+        return free + (start + weight * f1h)
+
     def advance(self, uh, vh, f0h, f1h):
         """One step in spectral space; forcing samples at both step endpoints."""
-        (uu, um, u0, u1), (vu, vm, v0, v1) = self.matrix
-        mix = 0.5 * uh + vh
-        return (
-            (uu * uh + um * mix) + (u0 * f0h + u1 * f1h),
-            (vu * uh + vm * mix) + (v0 * f0h + v1 * f1h),
-        )
+        u_row, v_row = self.rows(uh, vh, f0h)
+        return self.finish(u_row, f1h), self.finish(v_row, f1h)
 
 
 def duhamel_step(

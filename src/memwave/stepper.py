@@ -7,16 +7,24 @@ memory forcing is maintained incrementally with product-integration weights
 resolved by a single predictor-corrector pass.
 
 A step applies one precomputed per-mode propagator
-(:class:`~memwave.spectral.StepCoefficients`) twice and costs six FFTs in any
-dimension: the known part of the memory sum, the predicted u and its |u|^p,
-the new u and v, and the new |u|^p sample.  ||grad u||_2 in the per-step
-records is taken from u's spectrum by Parseval.
+(:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
+start-forcing products are formed once for both passes, and costs six FFTs
+in any dimension: the known part of the memory sum, the predicted u and its
+|u|^p, the new u and v, and the new |u|^p sample.  ||grad u||_2 in the
+per-step records is taken from u's spectrum by Parseval.
+
+:func:`run` keeps per-node norms only.  Whatever else a consumer needs from
+the nodes (CSV rows, weak-form pairings) it accumulates as an observer that
+:func:`run` calls once per node, so a run holds the |u|^p samples of the
+memory sum and O(N) working arrays, never a history of fields.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,20 +163,24 @@ class StepRecord:
 
 @dataclass(eq=False)
 class SolutionHistory:
-    """Time-ordered record of one run.
+    """Per-node records, terminal status, and the initial and final states of a run.
 
-    ``nonlinearity_record[m]`` holds |u(t_m)|^p and ``forcing_record[m]`` the
-    memory forcing at t_m; both are None when the nonlinearity is disabled
-    (they would be identically zero).  After a blow-up is detected nothing
-    further is appended.
+    ``records[m]`` holds the norms at node m; after a blow-up is detected
+    nothing further is appended.  ``states`` is ``[initial, final]`` once the
+    run returns (the same state twice when no step was kept).  Fields at the
+    other nodes are not stored: observers of :func:`run` see them as they are
+    made.
     """
 
     config: ScenarioConfig
     states: list[FieldState] = field(default_factory=list)
     records: list[StepRecord] = field(default_factory=list)
-    nonlinearity_record: np.ndarray | None = None
-    forcing_record: np.ndarray | None = None
     status: RunStatus = field(default_factory=RunStatus.running)
+
+    #: per-node |u|^p and forcing samples are not kept (observers receive
+    #: them); the names stay readable and are always None
+    nonlinearity_record = None
+    forcing_record = None
 
     @property
     def times(self) -> np.ndarray:
@@ -265,21 +277,6 @@ class MemoryConvolution:
         return self.known_part(samples, m) + self.tail_weight * samples[m]
 
 
-def memory_forcing(history: SolutionHistory, node: int) -> np.ndarray:
-    """Memory forcing int_0^{t_node} (t_node - s)^(-gamma) |u(s)|^p ds.
-
-    Recomputed from the stored nonlinearity record; the run loop maintains
-    the same sums incrementally.
-    """
-    if history.nonlinearity_record is None:
-        raise ValueError("history carries no nonlinearity record")
-    if node >= len(history.states):
-        raise ValueError(f"history does not cover node {node}")
-    config = history.config
-    conv = MemoryConvolution(config.gamma, config.dt, config.n_steps)
-    return conv.value_at(history.nonlinearity_record, node)
-
-
 def _power_p(u: np.ndarray, p: float) -> np.ndarray:
     """|u|^p with |u| = 0 mapped exactly to 0 for non-integer p.
 
@@ -333,7 +330,45 @@ def _make_record(
     )
 
 
-def run(config: ScenarioConfig) -> SolutionHistory:
+#: An observer of :func:`run`, called once per node as
+#: ``observer(node, state, u_hat, g, forcing)``: the node index, the
+#: FieldState, u's spectrum, the |u|^p sample and the memory forcing at the
+#: node (both None when the nonlinearity is disabled; the forcing is zero at
+#: node 0).  Observers must not modify the arrays they are given.
+Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray | None], None]
+
+#: Grid-sized float arrays a run holds at its peak besides the |u|^p samples,
+#: with and without the nonlinearity: the kept states, the spectra and
+#: temporaries of one step, the step matrix and the grid's cached geometry.
+#: tracemalloc puts them at 32-37 and 22-26 on 1-, 2- and 3-D grids of 4096
+#: points and more; tests/test_stepper.py checks that the estimate bounds the peak.
+_WORKING_ARRAYS = {True: 40, False: 28}
+#: bytes per node outside the arrays (a StepRecord, product weights) and
+#: bytes independent of the grid and the step count
+_NODE_BYTES = 400
+_FIXED_BYTES = 32 * 1024
+
+
+def memory_estimate(config: ScenarioConfig) -> int:
+    """Bytes a run of ``config`` needs at its peak, an upper bound.
+
+    The memory sum keeps every |u|^p sample, (M + 1) * N doubles; everything
+    else is O(N) working arrays plus a few hundred bytes of records per node.
+    What observers keep is their own and not included.
+    """
+    points = config.grid.points_per_dim**config.dim
+    nodes = config.n_steps + 1
+    nonlinear = config.nonlinearity_enabled
+    samples = nodes * points * 8 if nonlinear else 0
+    working = _WORKING_ARRAYS[nonlinear] * points * 8
+    return samples + working + nodes * _NODE_BYTES + _FIXED_BYTES
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionHistory:
     """Integrate the scenario to t_end, a detected blow-up, or a failure.
 
     Each step applies the exact one-step flow with the forcing interpolated
@@ -342,38 +377,49 @@ def run(config: ScenarioConfig) -> SolutionHistory:
     sample frozen) and one corrector pass.  The forcing is linear in the
     samples, so its spectra are sums of the known part's spectrum and single
     samples' spectra.
+
+    Every ``observer`` is called once per recorded node, in node order (see
+    :data:`Observer`).  Raises ValueError, before allocating anything, when
+    :func:`memory_estimate` exceeds the machine's physical memory.
     """
+    needed, available = memory_estimate(config), _physical_memory()
+    if needed > available:
+        raise ValueError(
+            f"run needs about {needed / 2**30:.1f} GiB, more than the "
+            f"{available / 2**30:.1f} GiB of physical memory; "
+            "use fewer steps or grid points"
+        )
+    observers = tuple(observers)
     grid = config.grid
     M = config.n_steps
     state0 = make_initial_data(config)
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
     history = SolutionHistory(config)
-    history.states.append(state0)
     history.records.append(_make_record(config, state0, uh, 0.0))
 
     nonlinear = config.nonlinearity_enabled
+    g = forcing = None
     if nonlinear:
-        gshape = (M + 1,) + grid.shape
-        G = np.zeros(gshape)
-        F = np.zeros(gshape)
+        # the memory sum needs every |u|^p sample; nothing else is kept per node
+        G = np.zeros((M + 1,) + grid.shape)
         G[0] = _power_p(state0.u, config.p)
+        g = G[0]
+        forcing = np.zeros(grid.shape)
         conv = MemoryConvolution(config.gamma, config.dt, M)
         w = conv.tail_weight
-        gh = grid.to_spectrum(G[0])
-        history.nonlinearity_record = G
-        history.forcing_record = F
+        gh = grid.to_spectrum(g)
+    for observer in observers:
+        observer(0, state0, uh, g, forcing)
 
     coeffs = StepCoefficients(grid, config.dt)
     fh_start = np.zeros_like(uh)
     initial_record = history.records[0]
+    state = state0
 
     def _finish(status: RunStatus) -> SolutionHistory:
         history.status = status
-        if nonlinear:
-            n = len(history.states)
-            history.nonlinearity_record = G[:n]
-            history.forcing_record = F[:n]
+        history.states = [state0, state]
         return history
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -382,30 +428,33 @@ def run(config: ScenarioConfig) -> SolutionHistory:
             if nonlinear:
                 known = conv.known_part(G, m + 1)
                 kh = grid.to_spectrum(known)
-                uh_star, _ = coeffs.advance(uh, vh, fh_start, kh + w * gh)
+                u_row, v_row = coeffs.rows(uh, vh, fh_start)
+                uh_star = coeffs.finish(u_row, kh + w * gh)
                 g_star = _power_p(grid.to_field(uh_star), config.p)
                 fh_end = kh + w * grid.to_spectrum(g_star)
-                uh, vh = coeffs.advance(uh, vh, fh_start, fh_end)
+                uh, vh = coeffs.finish(u_row, fh_end), coeffs.finish(v_row, fh_end)
             else:
                 uh, vh = coeffs.advance(uh, vh, fh_start, fh_start)
             u = grid.to_field(uh)
             v = grid.to_field(vh)
             if not (np.isfinite(u).all() and np.isfinite(v).all()):
                 return _finish(RunStatus.blow_up(t_next))
-            state = FieldState(grid, u, v, t_next)
             if nonlinear:
                 G[m + 1] = _power_p(u, config.p)
-                F[m + 1] = known + w * G[m + 1]
-                if not np.isfinite(F[m + 1]).all():
+                g = G[m + 1]
+                forcing = known + w * g
+                if not np.isfinite(forcing).all():
                     return _finish(RunStatus.blow_up(t_next))
-                gh = grid.to_spectrum(G[m + 1])
+                gh = grid.to_spectrum(g)
                 fh_start = kh + w * gh
-                forcing_l2 = grid.l2_norm(F[m + 1])
+                forcing_l2 = grid.l2_norm(forcing)
             else:
                 forcing_l2 = 0.0
+            state = FieldState(grid, u, v, t_next)
             record = _make_record(config, state, uh, forcing_l2)
-            history.states.append(state)
             history.records.append(record)
+            for observer in observers:
+                observer(m + 1, state, uh, g, forcing)
             if detect_blowup(record, initial_record, config.blowup_threshold):
                 return _finish(RunStatus.blow_up(t_next))
 
@@ -422,7 +471,8 @@ __all__ = [
     "default_dt",
     "suggested_half_length",
     "make_initial_data",
-    "memory_forcing",
+    "Observer",
+    "memory_estimate",
     "detect_blowup",
     "run",
 ]

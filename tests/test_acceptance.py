@@ -18,6 +18,7 @@ from scipy.special import gamma as Gamma
 from memwave.criticality import blow_up_scaling_exponents, compute_exponents
 from memwave.diagnostics import (
     TestFunctionParams,
+    WeakPairing,
     cui_bound_check,
     energy_weight_exponent,
     exterior_energy,
@@ -66,9 +67,28 @@ def linear_run():
     return config, history
 
 
+class KeepStates:
+    """Test observer: the states at the given nodes."""
+
+    def __init__(self, nodes):
+        self.nodes = set(nodes)
+        self.states = {}
+
+    def __call__(self, node, state, uh, g, forcing):
+        if node in self.nodes:
+            self.states[node] = state
+
+
+#: times at which criterion 11 samples the exterior energy
+EXTERIOR_TIMES = (20.0, 40.0, 70.0, 100.0)
+
+
 @pytest.fixture(scope="module")
 def global_runs():
-    """n=1, gamma=0.9, p=4.5 at the small-amplitude ladder, t_end=100."""
+    """n=1, gamma=0.9, p=4.5 at the small-amplitude ladder, t_end=100.
+
+    Each entry is (config, history, states at the EXTERIOR_TIMES nodes).
+    """
     out = {}
     for amplitude in (1e-3, 1e-2):
         config = ScenarioConfig(
@@ -80,7 +100,8 @@ def global_runs():
             dt=0.1,
             t_end=100.0,
         )
-        out[amplitude] = (config, run(config))
+        keep = KeepStates(int(round(t / config.dt)) for t in EXTERIOR_TIMES)
+        out[amplitude] = (config, run(config, observers=(keep,)), keep.states)
     return out
 
 
@@ -223,7 +244,7 @@ def test_criterion_05_linear_decay_rate(linear_run):
 def test_criterion_06_global_regime_boundedness(global_runs):
     details = []
     ok = True
-    for amplitude, (config, history) in global_runs.items():
+    for amplitude, (config, history, _) in global_runs.items():
         completed = history.status.phase is Phase.COMPLETED
         times = history.times
         l2_du = history.record_array("l2_du")
@@ -308,11 +329,12 @@ def test_criterion_09_weak_solution_consistency():
             dt=8.0 / n_steps,
             t_end=8.0,
         )
-        history = run(config)
         params = TestFunctionParams(
             ell=8, eta=7.0, B=6.0, T=8.0, alpha=FracOrder(0.1)
         )
-        residuals.append(weak_residual(history, params, config.p, config.gamma))
+        pairing = WeakPairing(params, config.grid)
+        history = run(config, observers=(pairing,))
+        residuals.append(weak_residual(history, pairing, config.p, config.gamma))
     ratio = residuals[0] / residuals[1]
     ok = ratio >= 1.5
     report(
@@ -343,11 +365,11 @@ def test_criterion_11_desk_scale_statement(global_runs):
     # scale; the stated substitutes are the n = 1 rate window (criterion 5),
     # the weighted-energy boundedness property (criterion 6), and the
     # exterior-energy monotone decrease checked here.
-    _, history = global_runs[1e-2]
+    _, history, states = global_runs[1e-2]
     samples = []
-    for t in (20.0, 40.0, 70.0, 100.0):
+    for t in EXTERIOR_TIMES:
         idx = int(round(t / history.config.dt))
-        state = history.states[idx]
+        state = states[idx]
         ext = exterior_energy(state, 0.1)
         assert not ext.region_empty
         samples.append(ext.value / history.records[idx].l2_du)

@@ -1,9 +1,14 @@
 """CLI tests: config parsing, subcommand outputs, determinism, exit codes."""
 
 import csv
+import math
 
 import pytest
 
+import memwave.cli as cli_mod
+from memwave import stepper
+from memwave.diagnostics import energy_W_from_norm, exterior_energy
+from memwave.spectral import SpatialGrid
 from memwave.cli import (
     ConfigError,
     SummaryReport,
@@ -279,3 +284,133 @@ nonlinearity = off
     summary = read_csv(out / "summary.csv")[0]
     assert -0.95 <= float(summary["decay_exponent"]) <= -0.55
     assert float(summary["decay_r2"]) >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# run tables streamed from the stepping loop
+# ---------------------------------------------------------------------------
+
+def _rows_from_stored_states(history, states, delta, full_resolution):
+    """Run-table rows as built before the row observer: after the run, from
+    every node's state, strided by the number of records, with
+    exterior_energy transforming u itself."""
+    config = history.config
+    count = len(history.records)
+    stride = 1 if full_resolution else max(1, math.ceil(count / cli_mod.MAX_TIMESERIES_ROWS))
+    indices = list(range(0, count, stride))
+    if indices[-1] != count - 1:
+        indices.append(count - 1)
+    rows = []
+    for i in indices:
+        record = history.records[i]
+        ext = exterior_energy(states[i], delta)
+        rows.append(
+            {
+                "t": record.t,
+                "l2_u": record.l2_u,
+                "h1_u": record.h1_u,
+                "l2_du": record.l2_du,
+                "W": energy_W_from_norm(record.t, record.l2_du, config.dim, config.gamma),
+                "exterior_energy": ext.value,
+                "forcing_l2": record.forcing_l2,
+                "exterior_mass": record.exterior_mass,
+            }
+        )
+    return rows
+
+
+class KeepStates:
+    """Test observer: every node's state."""
+
+    def __init__(self):
+        self.states = []
+
+    def __call__(self, node, state, uh, g, forcing):
+        self.states.append(state)
+
+
+ORACLE_SCENARIOS = {
+    "n1": dict(grid=SpatialGrid(1, 32.0, 256), p=4.5, amplitude=1e-2, dt=0.125, t_end=5.0),
+    "n2": dict(grid=SpatialGrid(2, 8.0, 32), p=4.5, amplitude=1e-2, dt=0.1, t_end=2.0),
+    "n3": dict(grid=SpatialGrid(3, 6.0, 16), p=4.5, amplitude=1e-2, dt=0.1, t_end=1.0),
+    "blowup": dict(grid=SpatialGrid(1, 32.0, 256), p=2.0, amplitude=2.0, dt=0.125, t_end=20.0),
+}
+
+
+def _oracle_scenario(name):
+    return stepper.ScenarioConfig(gamma=0.9, support_radius=2.0, **ORACLE_SCENARIOS[name])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
+def test_streamed_rows_match_rows_from_stored_states(name):
+    scenario = _oracle_scenario(name)
+    observer = cli_mod._RunRows(scenario, 0.1, False)
+    keep = KeepStates()
+    history = stepper.run(scenario, observers=(observer, keep))
+    expected_phase = "blowup_detected" if name == "blowup" else "completed"
+    assert history.status.phase.value == expected_phase
+    streamed = observer.rows(history)
+    stored = _rows_from_stored_states(history, keep.states, 0.1, False)
+    assert len(streamed) == len(stored) == len(history.records)
+    for got, want in zip(streamed, stored):
+        assert list(got) == list(want)
+        for key, value in want.items():
+            if key == "exterior_energy":
+                assert got[key] == pytest.approx(value, rel=1e-12)
+            else:
+                assert got[key] == value
+
+
+def test_blowup_rows_sit_on_the_stride_of_the_planned_steps(monkeypatch):
+    monkeypatch.setattr(cli_mod, "MAX_TIMESERIES_ROWS", 10)
+    scenario = _oracle_scenario("blowup")
+    observer = cli_mod._RunRows(scenario, 0.1, False)
+    history = stepper.run(scenario, observers=(observer,))
+    assert history.status.phase is stepper.Phase.BLOWUP_DETECTED
+    stride = math.ceil((scenario.n_steps + 1) / 10)
+    last = len(history.records) - 1
+    # the stride comes from M, not from the nodes the run reached
+    assert stride > 1 and stride != math.ceil((last + 1) / 10)
+    nodes = [round(row["t"] / scenario.dt) for row in observer.rows(history)]
+    expected = list(range(0, last + 1, stride))
+    if expected[-1] != last:
+        expected.append(last)
+    assert nodes == expected
+    assert nodes[-1] == round(history.status.t / scenario.dt)
+
+
+SWEEP_THREE = SWEEP_CONFIG.replace("sweep_p = 2.0, 4.5", "sweep_p = 2.0, 3.0, 4.5")
+
+
+def test_sweep_entry_error_leaves_other_entries_intact(tmp_path, monkeypatch):
+    _, clean = run_cli(tmp_path / "clean", SWEEP_THREE, "sweep")
+    real_run = stepper.run
+
+    def run_failing_at_p3(config, observers=()):
+        if config.p == 3.0:
+            raise RuntimeError("injected failure")
+        return real_run(config, observers)
+
+    monkeypatch.setattr(stepper, "run", run_failing_at_p3)
+    code, broken = run_cli(tmp_path / "broken", SWEEP_THREE, "sweep")
+    assert code == 0
+
+    for name in ("summary.csv", "regime_map.csv"):
+        clean_lines = (clean / name).read_text().splitlines()
+        broken_lines = (broken / name).read_text().splitlines()
+        assert len(clean_lines) == len(broken_lines) == 4
+        for index in (0, 1, 3):  # header, run_000, run_002
+            assert broken_lines[index] == clean_lines[index]
+    failed = {row["label"]: row for row in read_csv(broken / "regime_map.csv")}["run_001"]
+    assert (failed["status"], failed["flag"]) == ("error", "RuntimeError")
+    summary = {row["label"]: row for row in read_csv(broken / "summary.csv")}["run_001"]
+    assert (summary["status"], summary["flag"]) == ("error", "RuntimeError")
+    assert summary["verdict"] != ""
+
+    for name in ("run_000.csv", "run_002.csv"):
+        assert (broken / name).read_bytes() == (clean / name).read_bytes()
+    assert not (broken / "run_001.csv").exists()
+    kept = [line for line in (clean / "long.csv").read_text().splitlines()
+            if not line.startswith("run_001,")]
+    assert (broken / "long.csv").read_text().splitlines() == kept
+    assert "run_001 failed: RuntimeError: injected failure" in (broken / "summary.txt").read_text()

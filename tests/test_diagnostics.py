@@ -23,10 +23,12 @@ from memwave.diagnostics import (
     psi_lower_bound,
     psi_radial,
     singular_convolution_case,
+    WeakPairing,
+    _radial_laplacian_of_power,
     time_cutoff_profiles,
     weak_residual,
 )
-from memwave.frac_ops import FracOrder, TimeGrid, TimeSeries, gamma_ratio
+from memwave.frac_ops import FracOrder, TimeGrid, TimeSeries, gamma_ratio, trapezoid_weights
 from memwave.spectral import FieldState, SpatialGrid, linear_evolve
 from memwave.stepper import ScenarioConfig, make_initial_data, run
 
@@ -357,7 +359,10 @@ def test_cutoff_satisfies_decay_of_derivative():
 # weak residual
 # ---------------------------------------------------------------------------
 
-def _mild_history(points, n_steps, t_end=4.0, amplitude=1e-2):
+WEAK_PARAMS = TestFunctionParams(ell=8, eta=7.0, B=6.0, T=4.0, alpha=FracOrder(0.1))
+
+
+def _mild_history(points, n_steps, t_end=4.0, amplitude=1e-2, params=WEAK_PARAMS):
     grid = SpatialGrid(1, 16.0, points)
     config = ScenarioConfig(
         grid=grid,
@@ -368,22 +373,86 @@ def _mild_history(points, n_steps, t_end=4.0, amplitude=1e-2):
         dt=t_end / n_steps,
         t_end=t_end,
     )
-    return config, run(config)
+    pairing = WeakPairing(params, grid)
+    return config, run(config, observers=(pairing,)), pairing
 
 
 def test_weak_residual_zero_solution():
-    config, history = _mild_history(128, 64, amplitude=0.0)
-    params = TestFunctionParams(ell=8, eta=7.0, B=6.0, T=4.0, alpha=FracOrder(0.1))
-    assert weak_residual(history, params, config.p, config.gamma) == 0.0
+    config, history, pairing = _mild_history(128, 64, amplitude=0.0)
+    assert weak_residual(history, pairing, config.p, config.gamma) == 0.0
 
 
 def test_weak_residual_decreases_under_refinement():
-    params = TestFunctionParams(ell=8, eta=7.0, B=6.0, T=4.0, alpha=FracOrder(0.1))
     residuals = []
     for points, n_steps in ((128, 64), (256, 128)):
-        config, history = _mild_history(points, n_steps)
-        residuals.append(weak_residual(history, params, config.p, config.gamma))
+        config, history, pairing = _mild_history(points, n_steps)
+        residuals.append(weak_residual(history, pairing, config.p, config.gamma))
     assert residuals[0] / residuals[1] >= 1.5
+
+
+def _weak_residual_stacked(history, states, forcing, params):
+    """weak_residual as computed before the pairing observer: every node's u
+    and forcing stacked after the run, then reduced over space."""
+    config = history.config
+    dt = config.dt
+    n_nodes = int(round(params.T / dt)) + 1
+    tgrid = TimeGrid(dt, n_nodes - 1)
+    profiles = time_cutoff_profiles(params, tgrid)
+    grid = config.grid
+    dV = grid.cell_volume
+    space_cut = cutoff_profile(grid.radius / params.B) ** params.ell
+    lap_cut = _radial_laplacian_of_power(grid, params.B, params.ell)
+    U = np.stack([states[m].u for m in range(n_nodes)])
+    if forcing[0] is not None:
+        Fmem = np.stack(forcing[:n_nodes])
+    else:
+        Fmem = np.zeros_like(U)
+    axes = tuple(range(1, U.ndim))
+    u_cut = np.sum(U * space_cut, axis=axes) * dV
+    f_cut = np.sum(Fmem * space_cut, axis=axes) * dV
+    u_lap = np.sum(U * lap_cut, axis=axes) * dV
+    w = trapezoid_weights(tgrid)
+    u0, u1 = states[0].u, states[0].v
+    lhs = (
+        float(np.dot(w, f_cut * profiles.phi))
+        + float(np.sum(u1 * space_cut)) * dV * profiles.phi[0]
+        + float(np.sum(u0 * space_cut)) * dV * (profiles.phi[0] - profiles.dphi[0])
+    )
+    rhs = (
+        float(np.dot(w, u_cut * profiles.d2phi))
+        - float(np.dot(w, u_cut * profiles.dphi))
+        - float(np.dot(w, u_lap * profiles.phi))
+    )
+    return abs(lhs - rhs)
+
+
+class KeepNodes:
+    """Test observer: every node's state and forcing."""
+
+    def __init__(self):
+        self.states, self.forcing = [], []
+
+    def __call__(self, node, state, uh, g, forcing):
+        self.states.append(state)
+        self.forcing.append(forcing)
+
+
+@pytest.mark.parametrize(
+    "dim,points,nonlinear", [(1, 128, True), (1, 128, False), (2, 64, True)]
+)
+def test_weak_pairing_matches_stacked_residual(dim, points, nonlinear):
+    grid = SpatialGrid(dim, 16.0, points)
+    config = ScenarioConfig(
+        grid=grid, gamma=0.9, p=4.5, support_radius=2.0, amplitude=1e-2,
+        dt=4.0 / 32, t_end=4.0, nonlinearity_enabled=nonlinear,
+    )
+    pairing = WeakPairing(WEAK_PARAMS, grid)
+    keep = KeepNodes()
+    history = run(config, observers=(pairing, keep))
+    got = weak_residual(history, pairing, config.p, config.gamma)
+    want = _weak_residual_stacked(history, keep.states, keep.forcing, WEAK_PARAMS)
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_weak_residual_rejects_blown_up_history():
@@ -397,17 +466,17 @@ def test_weak_residual_rejects_blown_up_history():
         dt=0.125,
         t_end=25.0,
     )
-    history = run(config)
     params = TestFunctionParams(ell=8, eta=7.0, B=6.0, T=25.0, alpha=FracOrder(0.1))
+    pairing = WeakPairing(params, grid)
+    history = run(config, observers=(pairing,))
     with pytest.raises(ValueError):
-        weak_residual(history, params, config.p, config.gamma)
+        weak_residual(history, pairing, config.p, config.gamma)
 
 
 def test_weak_residual_requires_matching_gamma():
-    config, history = _mild_history(128, 64)
-    params = TestFunctionParams(ell=8, eta=7.0, B=6.0, T=4.0, alpha=FracOrder(0.1))
+    config, history, pairing = _mild_history(128, 64)
     with pytest.raises(ValueError):
-        weak_residual(history, params, config.p, 0.5)
+        weak_residual(history, pairing, config.p, 0.5)
 
 
 def test_small_data_energy_decay_consistent_with_weighted_bound():

@@ -347,6 +347,34 @@ def test_step_matrix_matches_slope_offset_oracle(dim, points, stretch):
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
+def _advance_in_one_expression(coeffs, uh, vh, f0h, f1h):
+    """advance as written before the row helper: both rows in one expression."""
+    (uu, um, u0, u1), (vu, vm, v0, v1) = coeffs.matrix
+    mix = 0.5 * uh + vh
+    return (
+        (uu * uh + um * mix) + (u0 * f0h + u1 * f1h),
+        (vu * uh + vm * mix) + (v0 * f0h + v1 * f1h),
+    )
+
+
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
+def test_rows_reused_for_two_end_forcings_are_bit_identical(dim, points):
+    # the stepping loop forms the rows once and finishes them for the
+    # predicted and for the corrected end forcing
+    grid = SpatialGrid(dim, 8.0, points)
+    coeffs = StepCoefficients(grid, 0.2)
+    rng = np.random.default_rng(dim)
+    uh, vh, f0h, f_pred, f_end = (
+        grid.to_spectrum(rng.standard_normal(grid.shape)) for _ in range(5)
+    )
+    u_row, v_row = coeffs.rows(uh, vh, f0h)
+    for f1h in (f_pred, f_end):
+        want = _advance_in_one_expression(coeffs, uh, vh, f0h, f1h)
+        got = (coeffs.finish(u_row, f1h), coeffs.finish(v_row, f1h))
+        for g, w in zip((*got, *coeffs.advance(uh, vh, f0h, f1h)), want * 2):
+            assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+
+
 def test_duhamel_zero_forcing_equals_linear_evolve(grid1d):
     state = bump_state(grid1d)
     zero = np.zeros(grid1d.shape)

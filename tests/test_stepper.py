@@ -1,12 +1,15 @@
 """Stepping-loop tests: data construction, memory forcing, blow-up detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import memwave.stepper as stepper_mod
 from memwave.spectral import SpatialGrid, linear_evolve
 from memwave.stepper import (
+    MemoryConvolution,
     Phase,
     ScenarioConfig,
     SolutionHistory,
@@ -14,7 +17,7 @@ from memwave.stepper import (
     default_dt,
     detect_blowup,
     make_initial_data,
-    memory_forcing,
+    memory_estimate,
     run,
     suggested_half_length,
 )
@@ -34,6 +37,31 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+class Collect:
+    """Test observer: every node's state, spectrum, |u|^p sample and forcing."""
+
+    def __init__(self):
+        self.states, self.spectra, self.g, self.forcing = [], [], [], []
+
+    def __call__(self, node, state, uh, g, forcing):
+        assert node == len(self.states)
+        self.states.append(state)
+        self.spectra.append(uh)
+        self.g.append(g)
+        self.forcing.append(forcing)
+
+
+def collected_run(config):
+    seen = Collect()
+    return run(config, observers=(seen,)), seen
+
+
+def memory_forcing(config, samples, node):
+    """The memory forcing at ``node`` recomputed from |u|^p samples 0..node."""
+    conv = MemoryConvolution(config.gamma, config.dt, config.n_steps)
+    return conv.value_at(np.stack(samples), node)
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +168,17 @@ def test_multidimensional_runs_complete(dim, points, half_length, t_end):
         dt=0.1,
         t_end=t_end,
     )
-    history = run(config)
+    history, seen = collected_run(config)
     assert history.status.phase is Phase.COMPLETED
     final = history.states[-1]
     assert final.u.shape == grid.shape
     assert np.isfinite(final.u).all()
     for record in history.records:
         assert record.exterior_mass <= 1e-8 * max(record.l2_u, 1e-300)
-    # memory forcing recomputation agrees with the stored record
-    node = len(history.states) - 1
+    # memory forcing recomputation agrees with the streamed forcing
+    node = len(seen.states) - 1
     np.testing.assert_allclose(
-        history.forcing_record[node], memory_forcing(history, node), rtol=1e-12
+        seen.forcing[node], memory_forcing(config, seen.g, node), rtol=1e-12
     )
 
 
@@ -178,8 +206,8 @@ def test_multidimensional_linear_matches_evolve():
 
 def test_memory_forcing_zero_history():
     config = small_config(amplitude=0.0, t_end=1.0)
-    history = run(config)
-    forcing = memory_forcing(history, 4)
+    _, seen = collected_run(config)
+    forcing = memory_forcing(config, seen.g, 4)
     assert np.all(forcing == 0.0)
 
 
@@ -187,14 +215,13 @@ def test_memory_forcing_frozen_constant_record():
     # with |u|^p frozen at 1 the forcing is the exact kernel integral
     # t^(1-gamma) / (1-gamma); product integration reproduces it to round-off
     config = small_config(t_end=2.0)
-    history = run(config)
-    m_nodes = len(history.states)
-    history.nonlinearity_record = np.ones((m_nodes,) + config.grid.shape)
+    m_nodes = config.n_steps + 1
+    ones = np.ones((m_nodes,) + config.grid.shape)
     gamma = config.gamma
     for node in (1, 5, 16):
         t = node * config.dt
         expected = t ** (1.0 - gamma) / (1.0 - gamma)
-        got = memory_forcing(history, node)
+        got = memory_forcing(config, ones, node)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -202,10 +229,10 @@ def test_memory_forcing_small_gamma_is_plain_integral():
     # gamma -> 0: the kernel approaches 1, so the forcing approaches the
     # plain time integral of |u|^p
     config = small_config(gamma=1e-6, t_end=2.0, amplitude=0.1, p=2.0)
-    history = run(config)
+    _, seen = collected_run(config)
     node = 12
-    forcing = memory_forcing(history, node)
-    g = history.nonlinearity_record[: node + 1]
+    forcing = memory_forcing(config, seen.g, node)
+    g = np.stack(seen.g[: node + 1])
     w = np.full(node + 1, config.dt)
     w[0] = w[-1] = config.dt / 2.0
     trapz = np.tensordot(w, g, axes=(0, 0))
@@ -213,19 +240,21 @@ def test_memory_forcing_small_gamma_is_plain_integral():
 
 
 def test_memory_forcing_requires_record():
+    # with the nonlinearity disabled there are no |u|^p samples and no forcing
     config = small_config(nonlinearity_enabled=False, t_end=1.0)
-    history = run(config)
-    with pytest.raises(ValueError):
-        memory_forcing(history, 2)
+    _, seen = collected_run(config)
+    assert len(seen.g) == config.n_steps + 1
+    assert all(g is None for g in seen.g)
+    assert all(f is None for f in seen.forcing)
 
 
 def test_forcing_record_matches_recomputation():
     config = small_config(amplitude=0.2, t_end=2.0)
-    history = run(config)
+    _, seen = collected_run(config)
     for node in (3, 9, 15):
         np.testing.assert_allclose(
-            history.forcing_record[node],
-            memory_forcing(history, node),
+            seen.forcing[node],
+            memory_forcing(config, seen.g[: node + 1], node),
             rtol=1e-12,
             atol=1e-300,
         )
@@ -237,20 +266,22 @@ def test_forcing_record_matches_recomputation():
 
 def test_disabled_nonlinearity_matches_linear_flow():
     config = small_config(nonlinearity_enabled=False, t_end=3.0)
-    history = run(config)
+    history, seen = collected_run(config)
     assert history.status.phase is Phase.COMPLETED
     state0 = history.states[0]
     final = history.states[-1]
     reference = linear_evolve(state0, config.t_end)
     np.testing.assert_allclose(final.u, reference.u, atol=1e-11)
     np.testing.assert_allclose(final.v, reference.v, atol=1e-11)
-    assert history.nonlinearity_record is None
+    assert all(g is None for g in seen.g)
 
 
 def test_records_align_with_states():
     config = small_config(amplitude=0.1, t_end=2.0)
-    history = run(config)
-    assert len(history.records) == len(history.states)
+    history, seen = collected_run(config)
+    assert len(history.records) == len(seen.states)
+    assert [s.time for s in seen.states] == list(history.times)
+    assert history.states == [seen.states[0], seen.states[-1]]
     times = history.times
     assert times[0] == 0.0
     np.testing.assert_allclose(np.diff(times), config.dt)
@@ -270,9 +301,10 @@ def test_records_match_gradients_of_stored_states(dim, points):
         grid=grid, p=2.5, support_radius=4.0, dt=0.25, t_end=2.0,
         data_shape="custom", custom_data=(u0, u1),
     )
-    history = run(config)
+    history, seen = collected_run(config)
     assert history.status.phase is Phase.COMPLETED
-    for state, record in zip(history.states, history.records):
+    assert len(seen.states) == len(history.records)
+    for state, record in zip(seen.states, history.records):
         grad2 = sum(grid.l2_norm(c) ** 2 for c in grid.gradient(state.u))
         h1_u = math.sqrt(grid.l2_norm(state.u) ** 2 + grad2)
         l2_du = math.sqrt(grid.l2_norm(state.v) ** 2 + grad2)
@@ -309,11 +341,11 @@ def test_power_p_bit_identical_to_gathered_form(p):
 
 def test_runs_are_bit_identical():
     config = small_config(amplitude=0.5, t_end=2.0)
-    a = run(config)
-    b = run(config)
+    a, seen_a = collected_run(config)
+    b, seen_b = collected_run(config)
     assert a.status == b.status
     np.testing.assert_array_equal(a.states[-1].u, b.states[-1].u)
-    np.testing.assert_array_equal(a.forcing_record, b.forcing_record)
+    np.testing.assert_array_equal(np.stack(seen_a.forcing), np.stack(seen_b.forcing))
 
 
 def test_global_regime_run_completes_with_small_data():
@@ -350,13 +382,13 @@ def test_memory_forcing_against_subinterval_quadrature_oracle():
     from scipy.integrate import quad
 
     config = small_config(amplitude=0.3, t_end=2.0)
-    history = run(config)
+    _, seen = collected_run(config)
     node = 7
     gamma = config.gamma
     dt = config.dt
     t_m = node * dt
     x_index = config.grid.points_per_dim // 2
-    g = history.nonlinearity_record[: node + 1, x_index]
+    g = np.stack(seen.g[: node + 1])[:, x_index]
     oracle = 0.0
     for j in range(node):
         a, b = j * dt, (j + 1) * dt
@@ -373,7 +405,7 @@ def test_memory_forcing_against_subinterval_quadrature_oracle():
                 lambda s: interp(s) * (t_m - s) ** (-gamma), a, b, epsabs=1e-13
             )
         oracle += val
-    got = memory_forcing(history, node)[x_index]
+    got = memory_forcing(config, seen.g[: node + 1], node)[x_index]
     assert got == pytest.approx(oracle, rel=1e-9)
 
 
@@ -440,12 +472,12 @@ def test_blowup_detected_for_supercritical_data():
         dt=0.125,
         t_end=25.0,
     )
-    history = run(config)
+    history, seen = collected_run(config)
     assert history.status.phase is Phase.BLOWUP_DETECTED
     assert history.status.t is not None and history.status.t < 25.0
     # nothing appended after detection
     assert history.records[-1].t <= history.status.t
-    assert len(history.records) == len(history.states)
+    assert len(history.records) == len(seen.states)
 
 
 def test_blowup_time_non_increasing_in_amplitude():
@@ -455,6 +487,54 @@ def test_blowup_time_non_increasing_in_amplitude():
         assert history.status.phase is Phase.BLOWUP_DETECTED
         times.append(history.status.t)
     assert times[0] >= times[1] >= times[2]
+
+
+# ---------------------------------------------------------------------------
+# memory estimate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+@pytest.mark.parametrize("dim,points", [(1, 1024), (2, 64)])
+def test_memory_estimate_bounds_traced_peak(dim, points, nonlinear):
+    tracemalloc.start()
+    try:
+        # a fresh grid, so its cached geometry is allocated inside the run
+        grid = SpatialGrid(dim, 16.0, points)
+        config = small_config(
+            grid=grid, p=4.5, amplitude=1e-2, dt=0.05, t_end=2.0,
+            nonlinearity_enabled=nonlinear,
+        )
+        history = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert history.status.phase is Phase.COMPLETED
+    estimate = memory_estimate(config)
+    assert peak <= estimate <= 2 * peak
+
+
+def test_run_refuses_a_run_larger_than_physical_memory():
+    # 64^3 points over a million steps: the |u|^p samples alone need 2 TB
+    config = small_config(grid=SpatialGrid(3, 8.0, 64), dt=1e-6, t_end=1.0)
+    assert memory_estimate(config) > 2e12
+    with pytest.raises(ValueError, match="physical memory"):
+        run(config)
+
+
+def test_run_refuses_before_allocating(monkeypatch):
+    config = small_config(t_end=1.0)
+    needed = memory_estimate(config)
+
+    def no_data(config):
+        raise AssertionError("initial data built before the memory check")
+
+    monkeypatch.setattr(stepper_mod, "make_initial_data", no_data)
+    monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        run(config)
+    monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: needed)
+    with pytest.raises(AssertionError, match="before the memory check"):
+        run(config)
 
 
 # ---------------------------------------------------------------------------
