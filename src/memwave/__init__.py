@@ -44,7 +44,6 @@ from .frac_ops import (
 from .spectral import (
     FieldState,
     SpatialGrid,
-    SymbolTable,
     duhamel_step,
     k0_hat,
     k1_hat,
@@ -79,7 +78,6 @@ __all__ = [
     "inversion_residual",
     "SpatialGrid",
     "FieldState",
-    "SymbolTable",
     "k0_hat",
     "k1_hat",
     "linear_evolve",

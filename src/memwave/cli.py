@@ -134,12 +134,6 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
     n = _parse_int(values["n"], "n")
     if n not in (1, 2, 3):
         raise ConfigError("key 'n': dimension must be 1, 2 or 3")
-    gamma = _parse_float(values["gamma"], "gamma")
-    if not (0.0 < gamma < 1.0):
-        raise ConfigError("key 'gamma': gamma must lie in (0,1)")
-    p = _parse_float(values["p"], "p")
-    if p <= 1.0:
-        raise ConfigError("key 'p': p must exceed 1")
     K = _parse_float(values["K"], "K")
     t_end = _parse_float(values["t_end"], "t_end")
     if t_end <= 0.0:
@@ -149,11 +143,6 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
         half_length = _parse_float(values["box_half_length"], "box_half_length")
     else:
         half_length = stepper.suggested_half_length(K, t_end)
-    if K >= half_length:
-        raise ConfigError(
-            "key 'K': data support must fit inside the box "
-            f"(K={K} >= box_half_length={half_length})"
-        )
     if values["points_per_dim"]:
         points = _parse_int(values["points_per_dim"], "points_per_dim")
     else:
@@ -175,8 +164,8 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
     try:
         scenario = stepper.ScenarioConfig(
             grid=grid,
-            gamma=gamma,
-            p=p,
+            gamma=_parse_float(values["gamma"], "gamma"),
+            p=_parse_float(values["p"], "p"),
             support_radius=K,
             amplitude=_parse_float(values["amplitude"], "amplitude"),
             dt=dt,
@@ -192,6 +181,11 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
     for key, axis in (("sweep_p", "p"), ("sweep_gamma", "gamma"), ("sweep_amplitude", "amplitude")):
         if values[key]:
             sweep_axes[axis] = _parse_float_list(values[key], key)
+            for value in sweep_axes[axis]:
+                try:
+                    replace(scenario, **{axis: value})
+                except ValueError as exc:
+                    raise ConfigError(f"key {key!r}: {exc}") from exc
     if subcommand == "sweep" and not sweep_axes:
         raise ConfigError("sweep requires at least one non-empty sweep axis")
 
@@ -443,6 +437,15 @@ def _traits_for(scenario: stepper.ScenarioConfig) -> criticality.DataTraits:
     )
 
 
+EXPONENT_COLUMNS = ("p_c", "p_gamma", "p_1", "p_2", "p_3", "sobolev_cap")
+
+
+def _exponent_row(n: int, gamma: float) -> dict:
+    """gamma and the critical exponents of dimension n at that gamma."""
+    exps = criticality.compute_exponents(n, gamma)
+    return {"gamma": gamma, **{name: float(getattr(exps, name)) for name in EXPONENT_COLUMNS}}
+
+
 def _cmd_classify(manifest: RunManifest) -> SummaryReport:
     scenario = manifest.scenario
     report = SummaryReport(
@@ -452,7 +455,6 @@ def _cmd_classify(manifest: RunManifest) -> SummaryReport:
     verdict = criticality.classify(
         scenario.dim, scenario.gamma, scenario.p, _traits_for(scenario)
     )
-    exps = criticality.compute_exponents(scenario.dim, scenario.gamma)
     report.summary_rows.append(
         {
             "label": "classify",
@@ -465,18 +467,8 @@ def _cmd_classify(manifest: RunManifest) -> SummaryReport:
         }
     )
     report.tables["exponents"] = (
-        ("gamma", "p_c", "p_gamma", "p_1", "p_2", "p_3", "sobolev_cap"),
-        [
-            {
-                "gamma": scenario.gamma,
-                "p_c": float(exps.p_c),
-                "p_gamma": float(exps.p_gamma),
-                "p_1": float(exps.p_1),
-                "p_2": float(exps.p_2),
-                "p_3": float(exps.p_3),
-                "sobolev_cap": float(exps.sobolev_cap),
-            }
-        ],
+        ("gamma",) + EXPONENT_COLUMNS,
+        [_exponent_row(scenario.dim, scenario.gamma)],
     )
     return report
 
@@ -571,58 +563,22 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
 def _cmd_exponents(manifest: RunManifest) -> SummaryReport:
     n = manifest.scenario.dim
     report = SummaryReport(
-        "exponents",
-        summary_columns=("label", "n", "gamma", "p_c", "p_gamma", "p_1", "p_2", "p_3", "sobolev_cap"),
+        "exponents", summary_columns=("label", "n", "gamma") + EXPONENT_COLUMNS
     )
     rows = []
     for gamma in manifest.gamma_grid:
-        exps = criticality.compute_exponents(n, gamma)
-        row = {
-            "label": f"gamma={_fmt(gamma)}",
-            "n": n,
-            "gamma": gamma,
-            "p_c": float(exps.p_c),
-            "p_gamma": float(exps.p_gamma),
-            "p_1": float(exps.p_1),
-            "p_2": float(exps.p_2),
-            "p_3": float(exps.p_3),
-            "sobolev_cap": float(exps.sobolev_cap),
-        }
+        row = {"label": f"gamma={_fmt(gamma)}", "n": n, **_exponent_row(n, gamma)}
         rows.append(row)
         report.summary_rows.append(row)
         for name in ("p_gamma", "p_1", "p_2", "p_3"):
             report.long_rows.append((name, "gamma", gamma, row[name]))
-    report.tables["exponent_table"] = (
-        ("n", "gamma", "p_c", "p_gamma", "p_1", "p_2", "p_3", "sobolev_cap"),
-        rows,
-    )
+    report.tables["exponent_table"] = (("n", "gamma") + EXPONENT_COLUMNS, rows)
     return report
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-VERIFY_SUITE_CASES: tuple[tuple[str, str], ...] = (
-    ("frac_inversion", "residual"),
-    ("frac_inversion", "order"),
-    ("frac_adjoint", "relative_residual"),
-    ("frac_adjoint", "refinement_ratio"),
-    ("frac_closed_form", "lattice_worst"),
-    ("symbol_continuity", "k0_jump"),
-    ("symbol_continuity", "k1_jump"),
-    ("cui", "super_1"),
-    ("cui", "super_2"),
-    ("cui", "super_3"),
-    ("cui", "log_1"),
-    ("cui", "log_2"),
-    ("cui", "log_3"),
-    ("cui", "sub_1"),
-    ("cui", "sub_2"),
-    ("cui", "sub_3"),
-    ("gagliardo", "ratio_table"),
-    ("weak_residual", "refinement_ratio"),
-)
 
 CUI_TRIPLES = (
     ("super_1", 0.5, 1.0, 2.0),
@@ -636,9 +592,45 @@ CUI_TRIPLES = (
     ("sub_3", 0.3, 0.1, 0.4),
 )
 
+# Every verify row, in output order: (suite, case) -> (threshold, comparator).
+VERIFY_CHECKS: dict[tuple[str, str], tuple[float, str]] = {
+    ("frac_inversion", "residual"): (0.02, "<="),
+    ("frac_inversion", "order"): (0.8, ">="),
+    ("frac_adjoint", "relative_residual"): (0.01, "<="),
+    ("frac_adjoint", "refinement_ratio"): (0.5, "<="),
+    ("frac_closed_form", "lattice_worst"): (0.01, "<="),
+    ("symbol_continuity", "k0_jump"): (1e-6, "<"),
+    ("symbol_continuity", "k1_jump"): (1e-6, "<"),
+    **{("cui", case): (0.01, "slope<=") for case, *_ in CUI_TRIPLES},
+    ("gagliardo", "ratio_table"): (math.inf, "finite"),
+    ("weak_residual", "refinement_ratio"): (1.5, ">="),
+}
 
-def _verify_frac_rows() -> list[dict]:
-    rows = []
+# A measurement is the printed value, or (printed value, other quantity) for
+# a comparator that names one: "slope<=" takes the sup ratio and the slope
+# over the last decade, "finite" the worst ratio and every ratio.
+_COMPARATORS = {
+    "<": lambda value, threshold: value < threshold,
+    "<=": lambda value, threshold: value <= threshold,
+    ">=": lambda value, threshold: value >= threshold,
+    "slope<=": lambda pair, threshold: math.isfinite(pair[0]) and pair[1] <= threshold,
+    "finite": lambda pair, threshold: all(math.isfinite(r) and r > 0.0 for r in pair[1]),
+}
+
+
+def _verify_row(suite: str, case: str, measured) -> dict:
+    threshold, comparator = VERIFY_CHECKS[suite, case]
+    return {
+        "suite": suite,
+        "case": case,
+        "value": measured[0] if isinstance(measured, tuple) else measured,
+        "threshold": threshold,
+        "comparator": comparator,
+        "passed": _COMPARATORS[comparator](measured, threshold),
+    }
+
+
+def _verify_frac_rows() -> dict:
     order = frac_ops.FracOrder(0.5)
     residuals = []
     for n_steps in (512, 1024, 2048):
@@ -646,26 +638,6 @@ def _verify_frac_rows() -> list[dict]:
         g = frac_ops.TimeSeries(grid, np.sin(grid.times))
         residuals.append(frac_ops.inversion_residual(g, order) / np.abs(np.sin(grid.times)).max())
     orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
-    rows.append(
-        {
-            "suite": "frac_inversion",
-            "case": "residual",
-            "value": residuals[0],
-            "threshold": 0.02,
-            "comparator": "<=",
-            "passed": residuals[0] <= 0.02,
-        }
-    )
-    rows.append(
-        {
-            "suite": "frac_inversion",
-            "case": "order",
-            "value": min(orders),
-            "threshold": 0.8,
-            "comparator": ">=",
-            "passed": min(orders) >= 0.8,
-        }
-    )
 
     rel_residuals = []
     for n_steps in (512, 1024):
@@ -674,27 +646,6 @@ def _verify_frac_rows() -> list[dict]:
         g = frac_ops.CutoffProfile(7.0, 1.0).sample(grid)
         lhs, rhs = frac_ops.adjointness_sides(f, g, order)
         rel_residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    ratio = rel_residuals[1] / rel_residuals[0]
-    rows.append(
-        {
-            "suite": "frac_adjoint",
-            "case": "relative_residual",
-            "value": rel_residuals[0],
-            "threshold": 0.01,
-            "comparator": "<=",
-            "passed": rel_residuals[0] <= 0.01,
-        }
-    )
-    rows.append(
-        {
-            "suite": "frac_adjoint",
-            "case": "refinement_ratio",
-            "value": ratio,
-            "threshold": 0.5,
-            "comparator": "<=",
-            "passed": ratio <= 0.5,
-        }
-    )
 
     worst = 0.0
     grid = frac_ops.TimeGrid(1.0 / 1024, 1024)
@@ -709,20 +660,16 @@ def _verify_frac_rows() -> list[dict]:
                 )
                 err = np.abs(approx.values - exact).max() / np.abs(exact).max()
                 worst = max(worst, float(err))
-    rows.append(
-        {
-            "suite": "frac_closed_form",
-            "case": "lattice_worst",
-            "value": worst,
-            "threshold": 0.01,
-            "comparator": "<=",
-            "passed": worst <= 0.01,
-        }
-    )
-    return rows
+    return {
+        ("frac_inversion", "residual"): residuals[0],
+        ("frac_inversion", "order"): min(orders),
+        ("frac_adjoint", "relative_residual"): rel_residuals[0],
+        ("frac_adjoint", "refinement_ratio"): rel_residuals[1] / rel_residuals[0],
+        ("frac_closed_form", "lattice_worst"): worst,
+    }
 
 
-def _verify_symbol_rows() -> list[dict]:
+def _verify_symbol_rows() -> dict:
     eps = 1e-8
     xi2 = np.array([0.25 - eps, 0.25 + eps])
     jump0 = 0.0
@@ -734,72 +681,29 @@ def _verify_symbol_rows() -> list[dict]:
         k1 = spectral.k1_hat(t, xi2)
         jump0 = max(jump0, abs(k0[1] - k0[0]) / max(abs(k0[0]), 1e-300))
         jump1 = max(jump1, abs(k1[1] - k1[0]) / max(abs(k1[0]), 1e-300))
-    return [
-        {
-            "suite": "symbol_continuity",
-            "case": "k0_jump",
-            "value": jump0,
-            "threshold": 1e-6,
-            "comparator": "<",
-            "passed": jump0 < 1e-6,
-        },
-        {
-            "suite": "symbol_continuity",
-            "case": "k1_jump",
-            "value": jump1,
-            "threshold": 1e-6,
-            "comparator": "<",
-            "passed": jump1 < 1e-6,
-        },
-    ]
+    return {("symbol_continuity", "k0_jump"): jump0, ("symbol_continuity", "k1_jump"): jump1}
 
 
-def _verify_cui_rows() -> list[dict]:
-    rows = []
+def _verify_cui_rows() -> dict:
     t_samples = np.geomspace(1.0, 1e4, 40)
+    measured = {}
     for case, theta, a, b in CUI_TRIPLES:
         rep = diagnostics.cui_bound_check(theta, a, b, t_samples)
-        ok = math.isfinite(rep.sup_ratio) and rep.last_decade_slope <= 0.01
-        rows.append(
-            {
-                "suite": "cui",
-                "case": case,
-                "value": rep.sup_ratio,
-                "threshold": 0.01,
-                "comparator": "slope<=",
-                "passed": ok,
-            }
-        )
-    return rows
+        measured["cui", case] = (rep.sup_ratio, rep.last_decade_slope)
+    return measured
 
 
-def _verify_gagliardo_rows() -> list[dict]:
+def _verify_gagliardo_rows() -> dict:
     # bump riding outward with the cone: the exponential weight is large on
     # its support, the regime the inequality has to balance
     grid = spectral.SpatialGrid(1, 128.0, 4096)
     K = 4.0
-    w = K / 7.0
-    worst = 0.0
-    ok = True
+    ratios = []
     for t in (1.0, 10.0, 100.0):
-        r = np.abs(grid.axis_coords - t)
-        s = np.clip((r - 0.8 * K) / (0.15 * K), 0.0, 1.0)
-        roll = 1.0 - (10 * s**3 - 15 * s**4 + 6 * s**5)
-        u = np.exp(-(r**2) / (2 * w * w)) * roll
+        u = stepper._bump_profile(np.abs(grid.axis_coords - t), K, "gaussian_bump")
         for q, sigma in ((2.0, 1.0), (4.0, 0.5), (4.0, 1.0)):
-            ratio = diagnostics.gagliardo_ratio(u, grid, t, q, sigma, K)
-            ok = ok and math.isfinite(ratio) and ratio > 0.0
-            worst = max(worst, ratio)
-    return [
-        {
-            "suite": "gagliardo",
-            "case": "ratio_table",
-            "value": worst,
-            "threshold": math.inf,
-            "comparator": "finite",
-            "passed": ok and math.isfinite(worst),
-        }
-    ]
+            ratios.append(diagnostics.gagliardo_ratio(u, grid, t, q, sigma, K))
+    return {("gagliardo", "ratio_table"): (max([0.0, *ratios]), ratios)}
 
 
 def _weak_refinement_pair() -> float:
@@ -828,36 +732,21 @@ def _weak_refinement_pair() -> float:
 
 
 def _cmd_verify(manifest: RunManifest) -> SummaryReport:
-    report = SummaryReport(
-        "verify",
-        summary_columns=("suite", "case", "value", "threshold", "comparator", "passed"),
-    )
-    rows: list[dict] = []
-    rows.extend(_verify_frac_rows())
-    rows.extend(_verify_symbol_rows())
-    rows.extend(_verify_cui_rows())
-    rows.extend(_verify_gagliardo_rows())
-    ratio = _weak_refinement_pair()
-    rows.append(
-        {
-            "suite": "weak_residual",
-            "case": "refinement_ratio",
-            "value": ratio,
-            "threshold": 1.5,
-            "comparator": ">=",
-            "passed": ratio >= 1.5,
-        }
-    )
-
-    produced = {(r["suite"], r["case"]) for r in rows}
-    missing = [pair for pair in VERIFY_SUITE_CASES if pair not in produced]
+    columns = ("suite", "case", "value", "threshold", "comparator", "passed")
+    report = SummaryReport("verify", summary_columns=columns)
+    measured = {
+        **_verify_frac_rows(),
+        **_verify_symbol_rows(),
+        **_verify_cui_rows(),
+        **_verify_gagliardo_rows(),
+        ("weak_residual", "refinement_ratio"): _weak_refinement_pair(),
+    }
+    missing = [pair for pair in VERIFY_CHECKS if pair not in measured]
     if missing:
         raise RuntimeError(f"verify suite incomplete, missing rows: {missing}")
+    rows = [_verify_row(suite, case, measured[suite, case]) for suite, case in VERIFY_CHECKS]
     report.summary_rows = rows
-    report.tables["verify"] = (
-        ("suite", "case", "value", "threshold", "comparator", "passed"),
-        rows,
-    )
+    report.tables["verify"] = (columns, rows)
     for row in rows:
         report.long_rows.append((row["suite"], row["case"], 0.0, float(row["value"])))
     if not all(r["passed"] for r in rows):

@@ -22,20 +22,6 @@ from .spectral import FieldState, SpatialGrid
 from .stepper import Phase, SolutionHistory
 
 
-@dataclass(frozen=True)
-class WeightParams:
-    """Support radius K of the data and the exterior-region exponent shift."""
-
-    K: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.K <= 0.0:
-            raise ValueError("K must be positive")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-
-
 # ---------------------------------------------------------------------------
 # parabolic weight
 # ---------------------------------------------------------------------------
@@ -541,7 +527,6 @@ def weak_residual(
 
 
 __all__ = [
-    "WeightParams",
     "psi",
     "psi_radial",
     "psi_lower_bound",

@@ -83,10 +83,6 @@ class TimeSeries:
         if not self.non_finite_ok and not np.isfinite(values).all():
             raise ValueError("series contains non-finite entries")
 
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "TimeSeries":
-        return cls(grid, np.asarray(fn(grid.times), dtype=float))
-
 
 @dataclass(frozen=True)
 class CutoffProfile:

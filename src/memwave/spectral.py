@@ -158,17 +158,6 @@ class FieldState:
         return float(np.sqrt(np.sum(self.v**2 + g2) * self.grid.cell_volume))
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolTable:
-    """Dispersion values a(xi) per mode, complex on the inner branch."""
-
-    grid: SpatialGrid
-
-    @cached_property
-    def a_values(self) -> np.ndarray:
-        return np.sqrt(self.grid.xi_squared.astype(complex) - _BRANCH)
-
-
 # ---------------------------------------------------------------------------
 # symbols
 # ---------------------------------------------------------------------------
@@ -207,17 +196,6 @@ def k1_hat(t: float, xi_abs2) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def dk0_hat(t: float, xi_abs2) -> np.ndarray:
-    """d/dt k0 = -k0/2 - (|xi|^2 - 1/4) k1 (differentiating the definitions)."""
-    xi2 = np.asarray(xi_abs2, dtype=float)
-    return -0.5 * k0_hat(t, xi2) - (xi2 - _BRANCH) * k1_hat(t, xi2)
-
-
-def dk1_hat(t: float, xi_abs2) -> np.ndarray:
-    """d/dt k1 = k0 - k1/2 (differentiating the definitions)."""
-    return k0_hat(t, xi_abs2) - 0.5 * k1_hat(t, xi_abs2)
-
-
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -232,12 +210,8 @@ def linear_evolve(state0: FieldState, t: float) -> FieldState:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return state0
-    grid = state0.grid
-    uh = grid.to_spectrum(state0.u)
-    vh = grid.to_spectrum(state0.v)
-    zero = np.zeros_like(uh)
-    wh, wth = StepCoefficients(grid, t).advance(uh, vh, zero, zero)
-    return FieldState(grid, grid.to_field(wh), grid.to_field(wth), state0.time + t)
+    zero = np.zeros(state0.grid.shape)
+    return duhamel_step(state0, zero, zero, t)
 
 
 class StepCoefficients:
@@ -327,11 +301,8 @@ def duhamel_step(
 __all__ = [
     "SpatialGrid",
     "FieldState",
-    "SymbolTable",
     "k0_hat",
     "k1_hat",
-    "dk0_hat",
-    "dk1_hat",
     "linear_evolve",
     "StepCoefficients",
     "duhamel_step",

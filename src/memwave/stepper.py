@@ -200,8 +200,8 @@ def _support_rolloff(r: np.ndarray, radius: float) -> np.ndarray:
     return 1.0 - (10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5)
 
 
-def _bump_profile(grid: SpatialGrid, radius: float, shape: str) -> np.ndarray:
-    r = grid.radius
+def _bump_profile(r: np.ndarray, radius: float, shape: str) -> np.ndarray:
+    """The preset profile ``shape`` of support ``radius`` at the radii ``r``."""
     w = _CORE_WIDTH_FRACTION * radius
     if shape == "gaussian_bump":
         core = np.exp(-(r**2) / (2.0 * w * w))
@@ -233,7 +233,7 @@ def make_initial_data(config: ScenarioConfig) -> FieldState:
         if u0.shape != grid.shape or u1.shape != grid.shape:
             raise ValueError("custom data shapes do not match the grid")
         return FieldState(grid, u0, u1, 0.0)
-    profile = _bump_profile(grid, config.support_radius, config.data_shape)
+    profile = _bump_profile(grid.radius, config.support_radius, config.data_shape)
     if config.amplitude == 0.0:
         zero = np.zeros(grid.shape)
         return FieldState(grid, zero, zero.copy(), 0.0)

@@ -97,6 +97,12 @@ def test_sweep_requires_axes():
     assert manifest.sweep_axes["p"] == (2.0, 3.0)
 
 
+@pytest.mark.parametrize("key,values", [("sweep_gamma", "0.5, 1.5"), ("sweep_p", "2.0, 0.5")])
+def test_rejects_sweep_axis_value_out_of_range(key, values):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"n = 1\n{key} = {values}\n", "sweep")
+
+
 # ---------------------------------------------------------------------------
 # emit_report
 # ---------------------------------------------------------------------------
@@ -163,6 +169,12 @@ def test_bad_config_exit_code(tmp_path):
     cfg.write_text("gamma = 2.0\n")
     code = main(["simulate", "--config", str(cfg)])
     assert code == 2
+
+
+def test_sweep_axis_out_of_range_exits_two_before_any_entry(tmp_path):
+    code, out = run_cli(tmp_path, "n = 1\nsweep_gamma = 0.5, 1.5\n", "sweep")
+    assert code == 2
+    assert not out.exists()
 
 
 def test_missing_config_file_exit_code(tmp_path):
@@ -414,3 +426,38 @@ def test_sweep_entry_error_leaves_other_entries_intact(tmp_path, monkeypatch):
             if not line.startswith("run_001,")]
     assert (broken / "long.csv").read_text().splitlines() == kept
     assert "run_001 failed: RuntimeError: injected failure" in (broken / "summary.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# verify
+# ---------------------------------------------------------------------------
+
+def test_verify_writes_every_check_in_table_order_and_all_pass(tmp_path):
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out)]) == 0
+    rows = read_csv(out / "verify.csv")
+    assert len(rows) == 18
+    assert [(r["suite"], r["case"]) for r in rows] == list(cli_mod.VERIFY_CHECKS)
+    for row in rows:
+        threshold, comparator = cli_mod.VERIFY_CHECKS[row["suite"], row["case"]]
+        assert (float(row["threshold"]), row["comparator"]) == (threshold, comparator)
+        assert row["passed"] == "true", row
+    assert "failed" not in (out / "summary.txt").read_text()
+
+
+def test_verify_failing_measurement_reads_false_with_a_note(tmp_path, monkeypatch):
+    # the refinement ratio must reach 1.5
+    monkeypatch.setattr(cli_mod, "_weak_refinement_pair", lambda: 1.0)
+    out = tmp_path / "out"
+    main(["verify", "--out", str(out)])
+    rows = {(r["suite"], r["case"]): r for r in read_csv(out / "verify.csv")}
+    failed = rows.pop(("weak_residual", "refinement_ratio"))
+    assert (failed["value"], failed["passed"]) == ("1", "false")
+    assert all(r["passed"] == "true" for r in rows.values())
+    assert "note: one or more verification rows failed" in (out / "summary.txt").read_text()
+
+
+def test_verify_missing_measurement_is_an_infrastructure_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_mod, "_weak_refinement_pair", lambda: 2.0)
+    monkeypatch.setattr(cli_mod, "_verify_symbol_rows", lambda: {})
+    assert main(["verify", "--out", str(tmp_path / "out")]) == 1

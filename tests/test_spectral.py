@@ -10,9 +10,6 @@ from memwave.spectral import (
     FieldState,
     SpatialGrid,
     StepCoefficients,
-    SymbolTable,
-    dk0_hat,
-    dk1_hat,
     duhamel_step,
     k0_hat,
     k1_hat,
@@ -72,18 +69,6 @@ def test_field_state_validation(grid1d):
     bad[0] = np.nan
     with pytest.raises(ValueError):
         FieldState(grid1d, bad, good, 0.0)
-
-
-def test_symbol_table_branch_structure(grid1d):
-    table = SymbolTable(grid1d)
-    a = table.a_values
-    xi2 = grid1d.xi_squared
-    assert a.flat[0] == pytest.approx(0.5j)
-    outer = xi2 > 0.25
-    assert np.allclose(a[outer].imag, 0.0)
-    inner = ~outer
-    assert np.allclose(a[inner].real, 0.0)
-    assert np.all(np.abs(a[inner]) <= 0.5 + 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +139,20 @@ def test_symbols_against_complex_arithmetic_oracle():
 
 
 def test_symbol_time_derivatives_match_finite_differences():
-    # dk1/dt = k0 - k1/2 and dk0/dt = -k0/2 - (|xi|^2 - 1/4) k1 follow from
-    # differentiating the definitions; the sign on the k1/2 term is what
-    # reproduces the initial conditions (see the module docstring)
-    xi2 = np.array([0.0, 0.1, 0.25, 1.0, 9.0])
+    # the velocity row of the step matrix holds dk0/dt = -k0/2 - (|xi|^2 - 1/4) k1
+    # and dk1/dt = k0 - k1/2, which follow from differentiating the
+    # definitions; the sign on the k1/2 term is what reproduces the initial
+    # conditions (see the module docstring).  Half length 2 pi gives the
+    # modes |xi|^2 = k^2/4: 0, the branch circle, 1, ..., 16.
+    grid = SpatialGrid(1, 2.0 * math.pi, 16)
+    xi2 = grid.xi_squared
     h = 1e-6
     for t in (0.3, 1.0, 4.0):
         fd0 = (k0_hat(t + h, xi2) - k0_hat(t - h, xi2)) / (2 * h)
         fd1 = (k1_hat(t + h, xi2) - k1_hat(t - h, xi2)) / (2 * h)
-        np.testing.assert_allclose(dk0_hat(t, xi2), fd0, atol=1e-8)
-        np.testing.assert_allclose(dk1_hat(t, xi2), fd1, atol=1e-8)
-    # at t = 0: dk0 = -1/2, dk1 = 1 (the velocity initial condition)
-    np.testing.assert_allclose(dk0_hat(0.0, xi2), -0.5)
-    np.testing.assert_allclose(dk1_hat(0.0, xi2), 1.0)
+        dk0, dk1 = StepCoefficients(grid, t).matrix[1, :2]
+        np.testing.assert_allclose(dk0, fd0, atol=1e-8)
+        np.testing.assert_allclose(dk1, fd1, atol=1e-8)
 
 
 def test_symbol_uniform_bounds():
