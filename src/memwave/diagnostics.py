@@ -491,10 +491,12 @@ def weak_residual(
     config = history.config
     if abs(config.gamma - gamma) > 1e-12:
         raise ValueError("gamma does not match the history")
-    if history.status.phase is Phase.BLOWUP_DETECTED and (
+    if history.status.phase is not Phase.COMPLETED and (
         history.records[-1].t < params.T
     ):
-        raise ValueError("history was truncated by a blow-up before the horizon")
+        raise ValueError(
+            f"history was truncated ({history.status.phase.value}) before the horizon"
+        )
     dt = config.dt
     n_nodes = int(round(params.T / dt)) + 1
     if abs((n_nodes - 1) * dt - params.T) > 1e-9 * max(params.T, 1.0):

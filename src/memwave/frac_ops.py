@@ -15,11 +15,13 @@ Conventions (order ``alpha`` in (0, 1), grid t_m = m * dt):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import gamma as _gamma
+from scipy.special import roots_jacobi, roots_legendre
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,114 @@ def product_weights(alpha: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]
     conv[1:] = rise[1 : M + 1] + fall[2 : M + 2]
     first = rise[: M + 1]
     return first, conv
+
+
+# ---------------------------------------------------------------------------
+# sum-of-exponentials kernel
+# ---------------------------------------------------------------------------
+
+#: quadrature of tau^(-gamma) = 1/Gamma(gamma) int_0^inf e^(-s tau) s^(gamma-1) ds:
+#: Gauss-Jacobi nodes on [0, 2^j0] with 2^j0 <= 1/horizon, then Gauss-Legendre
+#: nodes on each dyadic panel [2^j, 2^(j+1)] until the panels pass
+#: ln(1/SOE_CUTOFF)/dt, beyond which e^(-s tau) < SOE_CUTOFF for every tau >= dt
+SOE_JACOBI_NODES = 8
+SOE_LEGENDRE_NODES = 7
+SOE_CUTOFF = 1e-10
+#: largest relative error of the sum on [dt, horizon] that exponential_sum accepts
+SOE_TOLERANCE = 1e-9
+
+
+def _dyadic_panels(dt: float, horizon: float) -> range:
+    """Exponents j of the Gauss-Legendre panels [2^j, 2^(j+1)]; the Gauss-Jacobi
+    interval is [0, 2^start]."""
+    j0 = math.floor(math.log2(1.0 / horizon))
+    top = math.log(1.0 / SOE_CUTOFF) / dt
+    j1 = j0
+    while 2.0**j1 < top:
+        j1 += 1
+    return range(j0, j1)
+
+
+def exponential_sum_terms(dt: float, horizon: float) -> int:
+    """Number of terms :func:`exponential_sum` returns for ``dt`` and ``horizon``."""
+    return SOE_JACOBI_NODES + SOE_LEGENDRE_NODES * len(_dyadic_panels(dt, horizon))
+
+
+def exponential_sum(
+    gamma: float, dt: float, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates s_q, weights w_q of tau^(-gamma) ~= sum_q w_q e^(-s_q tau) on [dt, horizon].
+
+    Gauss-Jacobi with the weight s^(gamma-1) takes the small-s end, where
+    the integrand is singular; Gauss-Legendre on dyadic panels takes the
+    rest (Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017).  The number of terms
+    grows with log(horizon/dt): 127 for dt = 0.0144 and horizon = 50.  All
+    rates and weights are positive.  The relative error is checked on a
+    log-spaced tau grid (200 points per decade) and ValueError is raised when
+    it exceeds SOE_TOLERANCE; it stays below 1.3e-10 for gamma in (0, 1) and
+    horizon/dt up to 1e5.  (Six Legendre nodes per panel, with 110 terms at
+    the sizes above, miss by 1.03e-9 at gamma = 0.9.)
+    """
+    if not (0.0 < gamma < 1.0):
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if not (0.0 < dt < horizon):
+        raise ValueError("need 0 < dt < horizon")
+    panels = _dyadic_panels(dt, horizon)
+    x, w = roots_jacobi(SOE_JACOBI_NODES, 0.0, gamma - 1.0)
+    half = 2.0**panels.start / 2.0
+    rates = [half * (x + 1.0)]
+    weights = [half**gamma * w]
+    x, w = roots_legendre(SOE_LEGENDRE_NODES)
+    for j in panels:
+        half = 2.0**j / 2.0
+        s = 2.0**j + half * (x + 1.0)
+        rates.append(s)
+        weights.append(half * w * s ** (gamma - 1.0))
+    rates = np.concatenate(rates)
+    weights = np.concatenate(weights) / _gamma(gamma)
+
+    tau = np.geomspace(dt, horizon, max(2, math.ceil(200 * math.log10(horizon / dt))))
+    approx = np.zeros_like(tau)
+    for s, w in zip(rates, weights):
+        approx += w * np.exp(-s * tau)
+    error = np.max(np.abs(approx * tau**gamma - 1.0))
+    if not error <= SOE_TOLERANCE:
+        raise ValueError(
+            f"sum of {len(rates)} exponentials misses tau^(-{gamma}) on "
+            f"[{dt}, {horizon}] by {error:.2e} relative (tolerance {SOE_TOLERANCE})"
+        )
+    return rates, weights
+
+
+def exponential_hat_moments(rates: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """Moments ``C[q, j] = int_0^T e^(-rates[q] (T - s)) hat_j(s) ds`` with T = n_steps*dt.
+
+    ``hat_j`` is the piecewise-linear hat of node j on the grid s = j*dt,
+    halved at j = 0 and j = n_steps, so ``C @ samples`` integrates the
+    exponentials against the linear interpolant of the samples exactly.
+    Small ``rates * dt`` use the Taylor series, so nothing cancels.
+    """
+    z = np.asarray(rates, dtype=float) * dt
+    # on one step, with y in [0, 1] the distance from its right end in steps,
+    # the left node's hat is y and the right node's 1 - y:
+    # left = int_0^1 y e^(-z y) dy, right = int_0^1 (1 - y) e^(-z y) dy,
+    # from 20 Taylor terms of e^(-z y) below z = 1
+    small = z < 1.0
+    zs = np.where(small, z, 0.0)[:, None]
+    n = np.arange(20.0)
+    terms = (-zs) ** n / np.cumprod(np.maximum(n, 1.0))
+    zl = np.where(small, 1.0, z)
+    e = np.exp(-zl)
+    left = np.where(small, terms @ (1.0 / (n + 2.0)), (1.0 - (1.0 + zl) * e) / zl**2)
+    right = np.where(
+        small, terms @ (1.0 / ((n + 1.0) * (n + 2.0))), (zl - 1.0 + e) / zl**2
+    )
+    # step i spans nodes i and i+1 and ends (n_steps - 1 - i) steps before T
+    lag = np.exp(-np.outer(z, np.arange(n_steps - 1, -1, -1.0)))
+    C = np.zeros((len(z), n_steps + 1))
+    C[:, :-1] += left[:, None] * lag
+    C[:, 1:] += right[:, None] * lag
+    return dt * C
 
 
 def _convolve_time(conv: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -373,6 +483,9 @@ __all__ = [
     "TimeSeries",
     "CutoffProfile",
     "product_weights",
+    "exponential_sum",
+    "exponential_sum_terms",
+    "exponential_hat_moments",
     "rl_integral",
     "rl_deriv_left",
     "rl_deriv_right",

@@ -2,9 +2,17 @@
 
 Advances u_tt - Laplace(u) + u_t = int_0^t (t-s)^(-gamma) |u(s)|^p ds by a
 stepwise Duhamel update: the linear flow is exact per Fourier mode, the
-memory forcing is maintained incrementally with product-integration weights
-(cost O(m) per step, O(M^2) per run), and the implicit endpoint forcing is
-resolved by a single predictor-corrector pass.
+memory forcing comes from product-integration weights, and the implicit
+endpoint forcing is resolved by a single predictor-corrector pass.
+
+A run of M steps on N points with M above M* = B + 4cQ (a few hundred
+steps; see :func:`_memory_blocks`) sums the memory in blocks of B = 32
+steps: exact weights within the block, and the history before it carried by
+Q exponentials fitted to (t-s)^(-gamma) on [dt, t_end] to 1e-9 relative
+(:func:`~memwave.frac_ops.exponential_sum`), well inside the forcing's 1e-8
+budget.  That costs O(M (B + Q) N) time and O((Q + 2B) N) memory instead of
+O(M^2 N) and O(M N).  A run with M <= M* is one block: the direct sum, bit
+for bit.
 
 A step applies one precomputed per-mode propagator
 (:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
@@ -15,8 +23,8 @@ per-step records is taken from u's spectrum by Parseval.
 
 :func:`run` keeps per-node norms only.  Whatever else a consumer needs from
 the nodes (CSV rows, weak-form pairings) it accumulates as an observer that
-:func:`run` calls once per node, so a run holds the |u|^p samples of the
-memory sum and O(N) working arrays, never a history of fields.
+:func:`run` calls once per node, so a run holds the memory sum's arrays and
+O(N) working arrays, never a history of fields.
 """
 
 from __future__ import annotations
@@ -28,9 +36,15 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.special import erfc
 
-from .frac_ops import product_weights
+from .frac_ops import (
+    exponential_hat_moments,
+    exponential_sum,
+    exponential_sum_terms,
+    product_weights,
+)
 from .spectral import FieldState, SpatialGrid, StepCoefficients
 
 DATA_SHAPES = ("gaussian_bump", "plateau", "custom")
@@ -334,15 +348,48 @@ def _make_record(
 #: ``observer(node, state, u_hat, g, forcing)``: the node index, the
 #: FieldState, u's spectrum, the |u|^p sample and the memory forcing at the
 #: node (both None when the nonlinearity is disabled; the forcing is zero at
-#: node 0).  Observers must not modify the arrays they are given.
+#: node 0).  Observers must not modify the arrays they are given, and must
+#: copy a |u|^p sample they keep: it lives in a block that later steps
+#: overwrite.
 Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray | None], None]
 
-#: Grid-sized float arrays a run holds at its peak besides the |u|^p samples,
-#: with and without the nonlinearity: the kept states, the spectra and
-#: temporaries of one step, the step matrix and the grid's cached geometry.
-#: tracemalloc puts them at 32-37 and 22-26 on 1-, 2- and 3-D grids of 4096
-#: points and more; tests/test_stepper.py checks that the estimate bounds the peak.
-_WORKING_ARRAYS = {True: 40, False: 28}
+#: Steps per block of the blocked memory sum.
+_BLOCK = 32
+#: Cost of one multiply-add in the blocked sum's two GEMMs relative to one in
+#: the direct sum's tensordot.  Measured on a 2-vCPU VM (OpenBLAS, numpy
+#: 2.4.6) at N = 4096, Q = 127, B = 32: the median ratio over 600 interleaved
+#: timings of ``known_part`` over 1000 rows and of one fold (both GEMMs) was
+#: 0.48-0.53, quartiles 0.24-0.82.  At N >= 65536, where the tensordot streams
+#: from memory, the ratio is 0.14-0.20, so M* errs towards the direct sum there.
+_GEMM_COST = 0.5
+
+
+def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
+    """Steps per block of the memory sum and the number Q of exponentials.
+
+    The direct sum over M steps reads sum_m (m - 1) ~ M^2/2 samples of N
+    points.  Blocks of B steps read about B/2 samples per step, plus
+    Q*(2B + 1) multiply-adds per point and block in two GEMMs: ~2Q per step
+    at the relative cost ``_GEMM_COST``.  The costs meet at
+    M* = B + 4 * _GEMM_COST * Q, a few hundred steps (M* = 286 at
+    dt = 0.0144 and t_end = 50, where Q = 127).  A run with M <= M* is one
+    block of M steps, the direct sum with no exponentials ((M, 0) is
+    returned); a longer one takes blocks of B steps.
+    """
+    M = config.n_steps
+    terms = exponential_sum_terms(config.dt, M * config.dt)
+    if M <= _BLOCK + 4.0 * _GEMM_COST * terms:
+        return M, 0
+    return _BLOCK, terms
+
+
+#: Grid-sized float arrays a run holds at its peak besides the memory sum's
+#: arrays, with and without the nonlinearity: the kept states, the spectra
+#: and temporaries of one step, the step matrix and the grid's cached
+#: geometry.  tracemalloc puts them at 24-29 and 12-24 on 1-, 2- and 3-D
+#: grids of 1024 to 32768 points, direct and blocked; tests/test_stepper.py
+#: checks that the estimate bounds the peak.
+_WORKING_ARRAYS = {True: 32, False: 28}
 #: bytes per node outside the arrays (a StepRecord, product weights) and
 #: bytes independent of the grid and the step count
 _NODE_BYTES = 400
@@ -352,20 +399,45 @@ _FIXED_BYTES = 32 * 1024
 def memory_estimate(config: ScenarioConfig) -> int:
     """Bytes a run of ``config`` needs at its peak, an upper bound.
 
-    The memory sum keeps every |u|^p sample, (M + 1) * N doubles; everything
-    else is O(N) working arrays plus a few hundred bytes of records per node.
-    What observers keep is their own and not included.
+    The direct memory sum keeps every |u|^p sample, (M + 1) * N doubles.  The
+    blocked sum keeps one block of samples, the Q exponential histories and
+    the block's history part, (Q + 2B + 1) * N doubles, plus two Q x (B + 1)
+    weight matrices.  Everything else is O(N) working arrays plus a few
+    hundred bytes of records per node.  What observers keep is their own and
+    not included.
     """
     points = config.grid.points_per_dim**config.dim
     nodes = config.n_steps + 1
     nonlinear = config.nonlinearity_enabled
-    samples = nodes * points * 8 if nonlinear else 0
+    memory = 0
+    if nonlinear:
+        block, terms = _memory_blocks(config)
+        memory = (block + 1) * points * 8
+        if terms:
+            memory += (terms + block) * points * 8 + 2 * terms * (block + 1) * 8
     working = _WORKING_ARRAYS[nonlinear] * points * 8
-    return samples + working + nodes * _NODE_BYTES + _FIXED_BYTES
+    return memory + working + nodes * _NODE_BYTES + _FIXED_BYTES
 
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+#: A step that produces non-finite values is a blow-up only when the last
+#: record's blow-up functional had already grown by threshold ** _ONSET_POWER
+#: over its initial value, i.e. half way to the detection threshold in
+#: decades (1e3 at the default threshold 1e6); otherwise the run stops with a
+#: numerical failure.
+_ONSET_POWER = 0.5
+
+
+def _non_finite_status(
+    config: ScenarioConfig, last: StepRecord, initial: StepRecord, t: float, what: str
+) -> RunStatus:
+    """Status of a run whose step to ``t`` made ``what`` non-finite."""
+    if detect_blowup(last, initial, config.blowup_threshold**_ONSET_POWER):
+        return RunStatus.blow_up(t)
+    return RunStatus.failure(t, f"non-finite {what} before the blow-up functional grew")
 
 
 def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionHistory:
@@ -378,9 +450,17 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     samples, so its spectra are sums of the known part's spectrum and single
     samples' spectra.
 
-    Every ``observer`` is called once per recorded node, in node order (see
-    :data:`Observer`).  Raises ValueError, before allocating anything, when
-    :func:`memory_estimate` exceeds the machine's physical memory.
+    The memory sum restarts every B steps (see :func:`_memory_blocks`): within
+    a block the product-integration weights act on the block's samples, and
+    the history before the block enters through Q exponential modes
+    H_q = int_0^{t_b} e^(-s_q (t_b - s)) g(s) ds, folded forward at each block
+    end.  At node b + k that history contributes sum_q w_q e^(-s_q k dt) H_q.
+
+    Non-finite values stop the run as a blow-up or as a numerical failure
+    (see :data:`_ONSET_POWER`).  Every ``observer`` is called once per
+    recorded node, in node order (see :data:`Observer`).  Raises ValueError,
+    before allocating anything, when :func:`memory_estimate` exceeds the
+    machine's physical memory.
     """
     needed, available = memory_estimate(config), _physical_memory()
     if needed > available:
@@ -392,6 +472,7 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     observers = tuple(observers)
     grid = config.grid
     M = config.n_steps
+    dt = config.dt
     state0 = make_initial_data(config)
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
@@ -399,20 +480,31 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     history.records.append(_make_record(config, state0, uh, 0.0))
 
     nonlinear = config.nonlinearity_enabled
-    g = forcing = None
+    g = forcing = past = None
     if nonlinear:
-        # the memory sum needs every |u|^p sample; nothing else is kept per node
-        G = np.zeros((M + 1,) + grid.shape)
-        G[0] = _power_p(state0.u, config.p)
-        g = G[0]
+        B, terms = _memory_blocks(config)
+        # the |u|^p samples of the current block, nodes start .. start + B
+        block = np.zeros((B + 1,) + grid.shape)
+        block[0] = _power_p(state0.u, config.p)
+        g = block[0]
         forcing = np.zeros(grid.shape)
-        conv = MemoryConvolution(config.gamma, config.dt, M)
+        conv = MemoryConvolution(config.gamma, dt, B)
         w = conv.tail_weight
         gh = grid.to_spectrum(g)
+        if terms:
+            rates, weights = exponential_sum(config.gamma, dt, M * dt)
+            # lagged[k-1, q] = w_q e^(-s_q k dt); decay and moments fold a block
+            lagged = weights * np.exp(-np.outer(dt * np.arange(1, B + 1), rates))
+            decay = np.exp(-B * dt * rates)[:, None]
+            moments = exponential_hat_moments(rates, dt, B)
+            modes = np.zeros((terms, g.size))
+            past = np.zeros((B, g.size))
+            samples = block.reshape(B + 1, -1)
+        start = 0
     for observer in observers:
         observer(0, state0, uh, g, forcing)
 
-    coeffs = StepCoefficients(grid, config.dt)
+    coeffs = StepCoefficients(grid, dt)
     fh_start = np.zeros_like(uh)
     initial_record = history.records[0]
     state = state0
@@ -424,29 +516,40 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
 
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(M):
-            t_next = (m + 1) * config.dt
+            t_next = (m + 1) * dt
             if nonlinear:
-                known = conv.known_part(G, m + 1)
+                k = m + 1 - start
+                known = conv.known_part(block, k)
+                if past is not None:
+                    known += past[k - 1].reshape(grid.shape)
                 kh = grid.to_spectrum(known)
                 u_row, v_row = coeffs.rows(uh, vh, fh_start)
                 uh_star = coeffs.finish(u_row, kh + w * gh)
+                del uh, vh, fh_start, gh
                 g_star = _power_p(grid.to_field(uh_star), config.p)
+                del uh_star
                 fh_end = kh + w * grid.to_spectrum(g_star)
+                del g_star
                 uh, vh = coeffs.finish(u_row, fh_end), coeffs.finish(v_row, fh_end)
+                del u_row, v_row, fh_end
             else:
                 uh, vh = coeffs.advance(uh, vh, fh_start, fh_start)
             u = grid.to_field(uh)
             v = grid.to_field(vh)
             if not (np.isfinite(u).all() and np.isfinite(v).all()):
-                return _finish(RunStatus.blow_up(t_next))
+                return _finish(_non_finite_status(
+                    config, history.records[-1], initial_record, t_next, "u or v"
+                ))
             if nonlinear:
-                G[m + 1] = _power_p(u, config.p)
-                g = G[m + 1]
-                forcing = known + w * g
+                block[k] = _power_p(u, config.p)
+                g = block[k]
+                forcing = np.add(known, w * g, out=known)
                 if not np.isfinite(forcing).all():
-                    return _finish(RunStatus.blow_up(t_next))
+                    return _finish(_non_finite_status(
+                        config, history.records[-1], initial_record, t_next, "forcing"
+                    ))
                 gh = grid.to_spectrum(g)
-                fh_start = kh + w * gh
+                fh_start = np.add(kh, w * gh, out=kh)
                 forcing_l2 = grid.l2_norm(forcing)
             else:
                 forcing_l2 = 0.0
@@ -457,6 +560,14 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
                 observer(m + 1, state, uh, g, forcing)
             if detect_blowup(record, initial_record, config.blowup_threshold):
                 return _finish(RunStatus.blow_up(t_next))
+            if past is not None and k == B:
+                # fold the block into the modes (in place: modes.T is Fortran
+                # ordered); the block's last sample starts the next block
+                modes *= decay
+                dgemm(1.0, samples.T, moments.T, 1.0, modes.T, overwrite_c=True)
+                np.matmul(lagged, modes, out=past)
+                block[0] = block[B]
+                start = m + 1
 
     return _finish(RunStatus.completed())
 

@@ -14,6 +14,9 @@ from memwave.frac_ops import (
     TimeSeries,
     adjointness_sides,
     cutoff_deriv_closed_form,
+    exponential_hat_moments,
+    exponential_sum,
+    exponential_sum_terms,
     gamma_ratio,
     grid_derivative_n,
     integration_by_parts_residual,
@@ -388,6 +391,53 @@ def test_product_weights_are_nonnegative_and_sum_to_kernel_mass():
     m = 17
     total = first[m] + conv[1:m].sum() + conv[0]
     assert total == pytest.approx(m**alpha / alpha, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sum-of-exponentials kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("ratio", [10.0, 1e3, 1e5])
+def test_exponential_sum_self_check_holds_up_to_1e5_steps(gamma, ratio):
+    horizon = 50.0
+    dt = horizon / ratio
+    rates, weights = exponential_sum(gamma, dt, horizon)
+    assert len(rates) == len(weights) == exponential_sum_terms(dt, horizon)
+    assert (rates > 0.0).all() and (weights > 0.0).all()
+    # an independent, five times finer tau grid, the ends included
+    tau = np.geomspace(dt, horizon, 5000)
+    approx = np.exp(-np.outer(tau, rates)) @ weights
+    assert np.max(np.abs(approx * tau**gamma - 1.0)) <= 1e-9
+
+
+def test_exponential_sum_raises_when_the_check_fails(monkeypatch):
+    import memwave.frac_ops as frac_ops
+
+    monkeypatch.setattr(frac_ops, "SOE_TOLERANCE", 1e-13)
+    with pytest.raises(ValueError, match="exponentials misses"):
+        exponential_sum(0.5, 0.01, 10.0)
+    with pytest.raises(ValueError):
+        exponential_sum(1.0, 0.01, 10.0)
+
+
+@pytest.mark.parametrize("rate", [1e-9, 1e-3, 0.999, 1.0, 1.001, 7.0, 30.0, 500.0])
+def test_exponential_hat_moments_match_quadrature(rate):
+    dt, n = 0.1, 5
+    T = n * dt
+    moments = exponential_hat_moments(np.array([rate]), dt, n)[0]
+    for j in range(n + 1):
+        want = sum(
+            quad(lambda s: math.exp(-rate * (T - s)) * max(0.0, 1.0 - abs(s / dt - j)),
+                 a * dt, (a + 1) * dt, epsabs=0.0, epsrel=1e-13)[0]
+            for a in (j - 1, j) if 0 <= a < n
+        )
+        assert moments[j] == pytest.approx(want, rel=1e-12)
+
+
+def test_exponential_hat_moments_of_a_vanishing_rate_are_the_trapezoid_rule():
+    moments = exponential_hat_moments(np.array([1e-300]), 0.25, 4)[0]
+    np.testing.assert_allclose(moments, [0.125, 0.25, 0.25, 0.25, 0.125], rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

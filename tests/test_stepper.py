@@ -40,7 +40,11 @@ def small_config(**overrides):
 
 
 class Collect:
-    """Test observer: every node's state, spectrum, |u|^p sample and forcing."""
+    """Test observer: every node's state, spectrum, |u|^p sample and forcing.
+
+    The sample is copied: it lives in the memory sum's block, which later
+    steps overwrite.
+    """
 
     def __init__(self):
         self.states, self.spectra, self.g, self.forcing = [], [], [], []
@@ -49,7 +53,7 @@ class Collect:
         assert node == len(self.states)
         self.states.append(state)
         self.spectra.append(uh)
-        self.g.append(g)
+        self.g.append(None if g is None else g.copy())
         self.forcing.append(forcing)
 
 
@@ -490,18 +494,170 @@ def test_blowup_time_non_increasing_in_amplitude():
 
 
 # ---------------------------------------------------------------------------
+# blocked memory sum
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
+def test_blocked_forcing_matches_direct_sum_at_every_node(dim, points, gamma):
+    # 400 steps in blocks of 32: the forcing streamed at every node, the nodes
+    # right after each fold included, against the direct sum over all samples
+    config = small_config(
+        grid=SpatialGrid(dim, 8.0, points), gamma=gamma, support_radius=4.0,
+        amplitude=0.05, dt=0.05, t_end=20.0,
+    )
+    block, terms = stepper_mod._memory_blocks(config)
+    assert (block, config.n_steps) == (32, 400) and terms > 0
+    history, seen = collected_run(config)
+    assert history.status.phase is Phase.COMPLETED
+    G = np.stack(seen.g)
+    conv = MemoryConvolution(config.gamma, config.dt, config.n_steps)
+    for node in range(1, config.n_steps + 1):
+        np.testing.assert_allclose(
+            seen.forcing[node], conv.value_at(G, node), rtol=1e-8, atol=1e-300
+        )
+
+
+def _direct_run(config):
+    """The step loop as it was before the blocked memory sum: every |u|^p
+    sample is kept and the direct sum runs over all of them."""
+    grid = config.grid
+    M = config.n_steps
+    state0 = make_initial_data(config)
+    uh = grid.to_spectrum(state0.u)
+    vh = grid.to_spectrum(state0.v)
+    records = [stepper_mod._make_record(config, state0, uh, 0.0)]
+    forcings = [np.zeros(grid.shape)]
+    G = np.zeros((M + 1,) + grid.shape)
+    G[0] = _power_p(state0.u, config.p)
+    conv = MemoryConvolution(config.gamma, config.dt, M)
+    w = conv.tail_weight
+    gh = grid.to_spectrum(G[0])
+    coeffs = stepper_mod.StepCoefficients(grid, config.dt)
+    fh_start = np.zeros_like(uh)
+    state = state0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(M):
+            t_next = (m + 1) * config.dt
+            known = conv.known_part(G, m + 1)
+            kh = grid.to_spectrum(known)
+            u_row, v_row = coeffs.rows(uh, vh, fh_start)
+            uh_star = coeffs.finish(u_row, kh + w * gh)
+            g_star = _power_p(grid.to_field(uh_star), config.p)
+            fh_end = kh + w * grid.to_spectrum(g_star)
+            uh, vh = coeffs.finish(u_row, fh_end), coeffs.finish(v_row, fh_end)
+            u = grid.to_field(uh)
+            v = grid.to_field(vh)
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                return records, forcings, state, t_next
+            G[m + 1] = _power_p(u, config.p)
+            forcing = known + w * G[m + 1]
+            if not np.isfinite(forcing).all():
+                return records, forcings, state, t_next
+            gh = grid.to_spectrum(G[m + 1])
+            fh_start = kh + w * gh
+            state = stepper_mod.FieldState(grid, u, v, t_next)
+            records.append(
+                stepper_mod._make_record(config, state, uh, grid.l2_norm(forcing))
+            )
+            forcings.append(forcing)
+            if detect_blowup(records[-1], records[0], config.blowup_threshold):
+                return records, forcings, state, t_next
+    return records, forcings, state, None
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(amplitude=0.5, t_end=5.0),
+        dict(amplitude=1.0, t_end=25.0),  # blows up
+        dict(grid=SpatialGrid(2, 8.0, 32), support_radius=3.0, p=2.5, t_end=3.0),
+    ],
+)
+def test_run_of_at_most_m_star_steps_is_the_direct_loop_bit_for_bit(overrides):
+    config = small_config(**overrides)
+    assert stepper_mod._memory_blocks(config) == (config.n_steps, 0)
+    history, seen = collected_run(config)
+    records, forcings, state, t_stop = _direct_run(config)
+    assert history.records == records
+    assert history.status.t == t_stop
+    assert history.states[-1].u.tobytes() == state.u.tobytes()
+    assert history.states[-1].v.tobytes() == state.v.tobytes()
+    for got, want in zip(seen.forcing, forcings):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid_points,t_end", [(256, 25.0), (512, 50.0)])
+def test_blow_up_ladder_is_the_same_in_blocks_of_four(grid_points, t_end, monkeypatch):
+    # the ladders of test_blowup_time_non_increasing_in_amplitude and of
+    # acceptance criterion 7, with the direct sum and with 4-step blocks
+    def ladder():
+        return [
+            run(small_config(
+                grid=SpatialGrid(1, grid_points / 8.0, grid_points),
+                amplitude=amplitude, t_end=t_end,
+            )).status
+            for amplitude in (1.0, 2.0, 4.0)
+        ]
+
+    monkeypatch.setattr(stepper_mod, "_GEMM_COST", 1e9)
+    direct = ladder()
+    monkeypatch.setattr(stepper_mod, "_BLOCK", 4)
+    monkeypatch.setattr(stepper_mod, "_GEMM_COST", 0.0)
+    block, terms = stepper_mod._memory_blocks(small_config(t_end=t_end))
+    assert block == 4 and terms > 0
+    blocked = ladder()
+    assert all(s.phase is Phase.BLOWUP_DETECTED for s in direct)
+    assert blocked == direct
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_at_small_amplitude_is_a_numerical_failure(monkeypatch):
+    # |u|^p taken of 1e100 * u overflows at the first sample, while the
+    # blow-up functional of the data is still its initial value
+    power_p = stepper_mod._power_p
+    monkeypatch.setattr(stepper_mod, "_power_p", lambda u, p: power_p(1e100 * u, p))
+    config = small_config(p=4.5, amplitude=1e-3, t_end=2.0)
+    history = run(config)
+    assert history.status.phase is Phase.NUMERICAL_FAILURE
+    assert history.status.t == config.dt
+    assert "non-finite" in history.status.reason
+    assert len(history.records) == 1
+
+
+def test_overflow_after_growth_is_a_blow_up():
+    # the supercritical run overflows before its functional reaches the
+    # threshold 1e200, after it has grown past 1e200 ** 0.5
+    config = small_config(amplitude=1.0, t_end=25.0, blowup_threshold=1e200)
+    history = run(config)
+    assert history.status.phase is Phase.BLOWUP_DETECTED
+    last = history.records[-1].blowup_functional / history.records[0].blowup_functional
+    assert 1e100 <= last < 1e200
+    # the default threshold detects the same blow-up one step earlier
+    assert run(small_config(amplitude=1.0, t_end=25.0)).status.t < history.status.t
+
+
+# ---------------------------------------------------------------------------
 # memory estimate
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("nonlinear", [True, False])
-@pytest.mark.parametrize("dim,points", [(1, 1024), (2, 64)])
-def test_memory_estimate_bounds_traced_peak(dim, points, nonlinear):
+@pytest.mark.parametrize(
+    "dim,points,t_end",
+    [
+        pytest.param(1, 1024, 2.0, id="1-1024"),
+        pytest.param(2, 64, 2.0, id="2-64"),
+        # 400 steps: a nonlinear run sums its memory in blocks
+        pytest.param(1, 1024, 20.0, id="1-1024-blocked"),
+    ],
+)
+def test_memory_estimate_bounds_traced_peak(dim, points, t_end, nonlinear):
     tracemalloc.start()
     try:
         # a fresh grid, so its cached geometry is allocated inside the run
         grid = SpatialGrid(dim, 16.0, points)
         config = small_config(
-            grid=grid, p=4.5, amplitude=1e-2, dt=0.05, t_end=2.0,
+            grid=grid, p=4.5, amplitude=1e-2, dt=0.05, t_end=t_end,
             nonlinearity_enabled=nonlinear,
         )
         history = run(config)
@@ -509,13 +665,28 @@ def test_memory_estimate_bounds_traced_peak(dim, points, nonlinear):
     finally:
         tracemalloc.stop()
     assert history.status.phase is Phase.COMPLETED
+    if nonlinear:
+        assert (stepper_mod._memory_blocks(config)[1] > 0) == (t_end > 2.0)
     estimate = memory_estimate(config)
     assert peak <= estimate <= 2 * peak
 
 
+def test_memory_estimate_of_blocked_sum_does_not_grow_with_steps():
+    grid = SpatialGrid(1, 16.0, 1024)
+    long, longer = (small_config(grid=grid, dt=0.05, t_end=t) for t in (50.0, 100.0))
+    block, terms = stepper_mod._memory_blocks(longer)
+    assert terms > 0 and block == stepper_mod._BLOCK
+    # twice the steps add a few hundred bytes of records per node and one
+    # dyadic panel of 7 exponentials (a history row and two weight columns
+    # each), not 1000 sample rows
+    grown = memory_estimate(longer) - memory_estimate(long)
+    panel = 7 * (grid.points_per_dim + 2 * (block + 1)) * 8
+    assert grown <= (longer.n_steps - long.n_steps) * 400 + panel
+
+
 def test_run_refuses_a_run_larger_than_physical_memory():
-    # 64^3 points over a million steps: the |u|^p samples alone need 2 TB
-    config = small_config(grid=SpatialGrid(3, 8.0, 64), dt=1e-6, t_end=1.0)
+    # 2048^3 points over 40 steps: the working arrays alone need 2 TB
+    config = small_config(grid=SpatialGrid(3, 8.0, 2048))
     assert memory_estimate(config) > 2e12
     with pytest.raises(ValueError, match="physical memory"):
         run(config)
