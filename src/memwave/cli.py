@@ -68,9 +68,12 @@ class ConfigError(ValueError):
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, key: str) -> int:

@@ -5,14 +5,12 @@ stepwise Duhamel update: the linear flow is exact per Fourier mode, the
 memory forcing comes from product-integration weights, and the implicit
 endpoint forcing is resolved by a single predictor-corrector pass.
 
-A run of M steps on N points with M above M* = B + 4cQ (a few hundred
-steps; see :func:`_memory_blocks`) sums the memory in blocks of B = 32
-steps: exact weights within the block, and the history before it carried by
-Q exponentials fitted to (t-s)^(-gamma) on [dt, t_end] to 1e-9 relative
+A run of M steps on N points sums the memory in blocks of B = 32 steps:
+exact weights within the block, and the history before it carried by Q
+exponentials fitted to (t-s)^(-gamma) on [dt, t_end] to 1e-9 relative
 (:func:`~memwave.frac_ops.exponential_sum`), well inside the forcing's 1e-8
 budget.  That costs O(M (B + Q) N) time and O((Q + 2B) N) memory instead of
-O(M^2 N) and O(M N).  A run with M <= M* is one block: the direct sum, bit
-for bit.
+O(M^2 N) and O(M N).  A run of at most B steps is one block: the direct sum.
 
 A step applies one precomputed per-mode propagator
 (:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
@@ -355,32 +353,18 @@ Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray 
 
 #: Steps per block of the blocked memory sum.
 _BLOCK = 32
-#: Cost of one multiply-add in the blocked sum's two GEMMs relative to one in
-#: the direct sum's tensordot.  Measured on a 2-vCPU VM (OpenBLAS, numpy
-#: 2.4.6) at N = 4096, Q = 127, B = 32: the median ratio over 600 interleaved
-#: timings of ``known_part`` over 1000 rows and of one fold (both GEMMs) was
-#: 0.48-0.53, quartiles 0.24-0.82.  At N >= 65536, where the tensordot streams
-#: from memory, the ratio is 0.14-0.20, so M* errs towards the direct sum there.
-_GEMM_COST = 0.5
 
 
 def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
     """Steps per block of the memory sum and the number Q of exponentials.
 
-    The direct sum over M steps reads sum_m (m - 1) ~ M^2/2 samples of N
-    points.  Blocks of B steps read about B/2 samples per step, plus
-    Q*(2B + 1) multiply-adds per point and block in two GEMMs: ~2Q per step
-    at the relative cost ``_GEMM_COST``.  The costs meet at
-    M* = B + 4 * _GEMM_COST * Q, a few hundred steps (M* = 286 at
-    dt = 0.0144 and t_end = 50, where Q = 127).  A run with M <= M* is one
-    block of M steps, the direct sum with no exponentials ((M, 0) is
-    returned); a longer one takes blocks of B steps.
+    A run of M <= B steps is one block of M steps, the direct sum with no
+    exponentials ((M, 0) is returned); a longer one takes blocks of B steps.
     """
     M = config.n_steps
-    terms = exponential_sum_terms(config.dt, M * config.dt)
-    if M <= _BLOCK + 4.0 * _GEMM_COST * terms:
+    if M <= _BLOCK:
         return M, 0
-    return _BLOCK, terms
+    return _BLOCK, exponential_sum_terms(config.dt, M * config.dt)
 
 
 #: Grid-sized float arrays a run holds at its peak besides the memory sum's
@@ -399,8 +383,8 @@ _FIXED_BYTES = 32 * 1024
 def memory_estimate(config: ScenarioConfig) -> int:
     """Bytes a run of ``config`` needs at its peak, an upper bound.
 
-    The direct memory sum keeps every |u|^p sample, (M + 1) * N doubles.  The
-    blocked sum keeps one block of samples, the Q exponential histories and
+    A run of M <= B steps keeps every |u|^p sample, (M + 1) * N doubles.  A
+    longer one keeps one block of samples, the Q exponential histories and
     the block's history part, (Q + 2B + 1) * N doubles, plus two Q x (B + 1)
     weight matrices.  Everything else is O(N) working arrays plus a few
     hundred bytes of records per node.  What observers keep is their own and
@@ -479,31 +463,6 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     history = SolutionHistory(config)
     history.records.append(_make_record(config, state0, uh, 0.0))
 
-    nonlinear = config.nonlinearity_enabled
-    g = forcing = past = None
-    if nonlinear:
-        B, terms = _memory_blocks(config)
-        # the |u|^p samples of the current block, nodes start .. start + B
-        block = np.zeros((B + 1,) + grid.shape)
-        block[0] = _power_p(state0.u, config.p)
-        g = block[0]
-        forcing = np.zeros(grid.shape)
-        conv = MemoryConvolution(config.gamma, dt, B)
-        w = conv.tail_weight
-        gh = grid.to_spectrum(g)
-        if terms:
-            rates, weights = exponential_sum(config.gamma, dt, M * dt)
-            # lagged[k-1, q] = w_q e^(-s_q k dt); decay and moments fold a block
-            lagged = weights * np.exp(-np.outer(dt * np.arange(1, B + 1), rates))
-            decay = np.exp(-B * dt * rates)[:, None]
-            moments = exponential_hat_moments(rates, dt, B)
-            modes = np.zeros((terms, g.size))
-            past = np.zeros((B, g.size))
-            samples = block.reshape(B + 1, -1)
-        start = 0
-    for observer in observers:
-        observer(0, state0, uh, g, forcing)
-
     coeffs = StepCoefficients(grid, dt)
     fh_start = np.zeros_like(uh)
     initial_record = history.records[0]
@@ -514,7 +473,32 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
         history.states = [state0, state]
         return history
 
+    nonlinear = config.nonlinearity_enabled
+    g = forcing = past = None
     with np.errstate(over="ignore", invalid="ignore"):
+        if nonlinear:
+            B, terms = _memory_blocks(config)
+            # the |u|^p samples of the current block, nodes start .. start + B
+            block = np.zeros((B + 1,) + grid.shape)
+            block[0] = _power_p(state0.u, config.p)
+            g = block[0]
+            forcing = np.zeros(grid.shape)
+            conv = MemoryConvolution(config.gamma, dt, B)
+            w = conv.tail_weight
+            gh = grid.to_spectrum(g)
+            if terms:
+                rates, weights = exponential_sum(config.gamma, dt, M * dt)
+                # lagged[k-1, q] = w_q e^(-s_q k dt); decay and moments fold a block
+                lagged = weights * np.exp(-np.outer(dt * np.arange(1, B + 1), rates))
+                decay = np.exp(-B * dt * rates)[:, None]
+                moments = exponential_hat_moments(rates, dt, B)
+                modes = np.zeros((terms, g.size))
+                past = np.zeros((B, g.size))
+                samples = block.reshape(B + 1, -1)
+            start = 0
+        for observer in observers:
+            observer(0, state0, uh, g, forcing)
+
         for m in range(M):
             t_next = (m + 1) * dt
             if nonlinear:

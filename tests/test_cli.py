@@ -97,10 +97,34 @@ def test_sweep_requires_axes():
     assert manifest.sweep_axes["p"] == (2.0, 3.0)
 
 
-@pytest.mark.parametrize("key,values", [("sweep_gamma", "0.5, 1.5"), ("sweep_p", "2.0, 0.5")])
+@pytest.mark.parametrize(
+    "key,values",
+    [("sweep_gamma", "0.5, 1.5"), ("sweep_p", "2.0, 0.5"), ("sweep_amplitude", "1.0, inf")],
+)
 def test_rejects_sweep_axis_value_out_of_range(key, values):
     with pytest.raises(ConfigError, match=key):
         parse_config(f"n = 1\n{key} = {values}\n", "sweep")
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("amplitude", "nan"),
+        ("K", "nan"),
+        ("dt", "nan"),
+        ("t_end", "inf"),
+        ("p", "nan"),
+        ("blowup_threshold", "nan"),
+    ],
+)
+def test_non_finite_value_is_a_config_error(tmp_path, key, value):
+    settings = {"n": "1", "points_per_dim": "256", "t_end": "2.0", key: value}
+    config = "".join(f"{k} = {v}\n" for k, v in settings.items())
+    with pytest.raises(ConfigError, match=key):
+        parse_config(config, "simulate")
+    code, out = run_cli(tmp_path, config, "simulate")
+    assert code == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -574,8 +574,12 @@ def _direct_run(config):
         dict(grid=SpatialGrid(2, 8.0, 32), support_radius=3.0, p=2.5, t_end=3.0),
     ],
 )
-def test_run_of_at_most_m_star_steps_is_the_direct_loop_bit_for_bit(overrides):
+def test_run_of_one_block_is_the_direct_loop_bit_for_bit(overrides, monkeypatch):
     config = small_config(**overrides)
+    # 40 and 200 steps: one block only when it is at least as long as the run
+    monkeypatch.setattr(
+        stepper_mod, "_BLOCK", max(stepper_mod._BLOCK, config.n_steps)
+    )
     assert stepper_mod._memory_blocks(config) == (config.n_steps, 0)
     history, seen = collected_run(config)
     records, forcings, state, t_stop = _direct_run(config)
@@ -600,10 +604,11 @@ def test_blow_up_ladder_is_the_same_in_blocks_of_four(grid_points, t_end, monkey
             for amplitude in (1.0, 2.0, 4.0)
         ]
 
-    monkeypatch.setattr(stepper_mod, "_GEMM_COST", 1e9)
+    # one block longer than any run of the ladder is the direct sum
+    monkeypatch.setattr(stepper_mod, "_BLOCK", 10**6)
+    assert stepper_mod._memory_blocks(small_config(t_end=t_end))[1] == 0
     direct = ladder()
     monkeypatch.setattr(stepper_mod, "_BLOCK", 4)
-    monkeypatch.setattr(stepper_mod, "_GEMM_COST", 0.0)
     block, terms = stepper_mod._memory_blocks(small_config(t_end=t_end))
     assert block == 4 and terms > 0
     blocked = ladder()
@@ -611,7 +616,6 @@ def test_blow_up_ladder_is_the_same_in_blocks_of_four(grid_points, t_end, monkey
     assert blocked == direct
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_at_small_amplitude_is_a_numerical_failure(monkeypatch):
     # |u|^p taken of 1e100 * u overflows at the first sample, while the
     # blow-up functional of the data is still its initial value
@@ -645,9 +649,10 @@ def test_overflow_after_growth_is_a_blow_up():
 @pytest.mark.parametrize(
     "dim,points,t_end",
     [
+        # 40 steps, more than one block
         pytest.param(1, 1024, 2.0, id="1-1024"),
         pytest.param(2, 64, 2.0, id="2-64"),
-        # 400 steps: a nonlinear run sums its memory in blocks
+        # 400 steps: a nonlinear run folds its block twelve times
         pytest.param(1, 1024, 20.0, id="1-1024-blocked"),
     ],
 )
@@ -666,9 +671,20 @@ def test_memory_estimate_bounds_traced_peak(dim, points, t_end, nonlinear):
         tracemalloc.stop()
     assert history.status.phase is Phase.COMPLETED
     if nonlinear:
-        assert (stepper_mod._memory_blocks(config)[1] > 0) == (t_end > 2.0)
+        assert (stepper_mod._memory_blocks(config)[1] > 0) == (
+            config.n_steps > stepper_mod._BLOCK
+        )
     estimate = memory_estimate(config)
     assert peak <= estimate <= 2 * peak
+
+
+def test_memory_blocks_switch_to_blocks_after_one_block():
+    # dt = 0.125: 32 steps are one block of the direct sum, 33 take blocks
+    one, two = (small_config(t_end=0.125 * M) for M in (32, 33))
+    assert (one.n_steps, two.n_steps) == (32, 33)
+    assert stepper_mod._memory_blocks(one) == (32, 0)
+    block, terms = stepper_mod._memory_blocks(two)
+    assert block == 32 and terms > 0
 
 
 def test_memory_estimate_of_blocked_sum_does_not_grow_with_steps():
