@@ -114,13 +114,14 @@ class RunManifest:
 def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
     """Parse a flat ``key = value`` document into a validated manifest.
 
-    Unknown keys are rejected outright, missing keys take their documented
-    defaults, and every scenario invariant is checked here so downstream
-    code never sees an inconsistent manifest.
+    Unknown and repeated keys are rejected outright, missing keys take their
+    documented defaults, and every scenario invariant is checked here so
+    downstream code never sees an inconsistent manifest.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     values = dict(_KEY_DEFAULTS)
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -132,6 +133,11 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
         raw = raw.strip()
         if key not in _KEY_DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         values[key] = raw
 
     n = _parse_int(values["n"], "n")

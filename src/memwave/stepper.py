@@ -34,7 +34,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 from scipy.special import erfc
 
 from .frac_ops import (
@@ -88,11 +87,12 @@ class RunStatus:
 class ScenarioConfig:
     """Complete problem setup for one run.
 
-    ``amplitude`` scales the data so that ||u0||_H1 + ||u1||_2 equals it;
-    ``support_radius`` bounds the data support, which then propagates inside
-    the ball of radius t + support_radius.  ``nonlinearity_enabled=False``
-    runs the plain linear flow through the same stepping loop (the memory
-    records are skipped in that case since the forcing is identically zero).
+    ``amplitude`` (non-negative) scales the data so that ||u0||_H1 +
+    ||u1||_2 equals it; ``support_radius`` bounds the data support, which
+    then propagates inside the ball of radius t + support_radius.
+    ``nonlinearity_enabled=False`` runs the plain linear flow through the
+    same stepping loop (the memory records are skipped in that case since
+    the forcing is identically zero).
     """
 
     grid: SpatialGrid
@@ -120,6 +120,8 @@ class ScenarioConfig:
                 f"support_radius={self.support_radius} >= "
                 f"half_length={self.grid.half_length}"
             )
+        if self.amplitude < 0.0:
+            raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
         if self.dt <= 0.0 or self.dt >= self.t_end:
             raise ValueError("need 0 < dt < t_end")
         if self.blowup_threshold <= 1.0:
@@ -403,6 +405,30 @@ def memory_estimate(config: ScenarioConfig) -> int:
     return memory + working + nodes * _NODE_BYTES + _FIXED_BYTES
 
 
+def _fold_block(
+    modes: np.ndarray,
+    decay: np.ndarray,
+    moments: np.ndarray,
+    samples: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Fold a finished block into the exponential modes in place:
+    ``modes = decay * modes + moments @ samples``.
+
+    The product is formed in row chunks of at most ``len(scratch)`` modes in
+    ``scratch``, the block's history part, which is dead until the caller
+    rewrites it, so the fold allocates no Q x N array.  It goes through
+    numpy's BLAS like every other product of the step loop: numpy and scipy
+    each bundle an OpenBLAS with its own thread pool, and mixing the two in
+    one loop makes their spinning workers compete for the cores.
+    """
+    modes *= decay
+    rows = len(scratch)
+    for q in range(0, len(modes), rows):
+        chunk = moments[q : q + rows]
+        modes[q : q + rows] += np.matmul(chunk, samples, out=scratch[: len(chunk)])
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -545,11 +571,9 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
             if detect_blowup(record, initial_record, config.blowup_threshold):
                 return _finish(RunStatus.blow_up(t_next))
             if past is not None and k == B:
-                # fold the block into the modes (in place: modes.T is Fortran
-                # ordered); the block's last sample starts the next block
-                modes *= decay
-                dgemm(1.0, samples.T, moments.T, 1.0, modes.T, overwrite_c=True)
+                _fold_block(modes, decay, moments, samples, past)
                 np.matmul(lagged, modes, out=past)
+                # the block's last sample starts the next block
                 block[0] = block[B]
                 start = m + 1
 

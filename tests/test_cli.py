@@ -127,6 +127,28 @@ def test_non_finite_value_is_a_config_error(tmp_path, key, value):
     assert not out.exists()
 
 
+def test_repeated_key_is_a_config_error_naming_both_lines(tmp_path):
+    config = "t_end = 2\n# comment\nn = 1\nt_end = 5\n"
+    with pytest.raises(ConfigError, match=r"line 4: key 't_end' repeats line 1"):
+        parse_config(config, "simulate")
+    code, out = run_cli(tmp_path, config, "simulate")
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,line",
+    [("simulate", "amplitude = -1"), ("sweep", "sweep_amplitude = 0.01, -1")],
+)
+def test_negative_amplitude_is_a_config_error(tmp_path, subcommand, line):
+    config = f"n = 1\npoints_per_dim = 256\nt_end = 2.0\n{line}\n"
+    with pytest.raises(ConfigError, match="amplitude must be non-negative"):
+        parse_config(config, subcommand)
+    code, out = run_cli(tmp_path, config, subcommand)
+    assert code == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # emit_report
 # ---------------------------------------------------------------------------

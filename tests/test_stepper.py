@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgemm
 
 import memwave.stepper as stepper_mod
+from memwave.frac_ops import exponential_hat_moments
 from memwave.spectral import SpatialGrid, linear_evolve
 from memwave.stepper import (
     MemoryConvolution,
@@ -79,6 +81,8 @@ def test_config_validation():
         small_config(p=1.0)
     with pytest.raises(ValueError):
         small_config(support_radius=40.0)  # exceeds half_length
+    with pytest.raises(ValueError, match="amplitude"):
+        small_config(amplitude=-1.0)
     with pytest.raises(ValueError):
         small_config(dt=10.0)  # dt >= t_end
     with pytest.raises(ValueError):
@@ -516,6 +520,37 @@ def test_blocked_forcing_matches_direct_sum_at_every_node(dim, points, gamma):
         np.testing.assert_allclose(
             seen.forcing[node], conv.value_at(G, node), rtol=1e-8, atol=1e-300
         )
+
+
+def _dgemm_fold(modes, decay, moments, samples, lagged, past):
+    """The block-end fold as it was through scipy's BLAS: the product added
+    into modes.T (Fortran ordered) by one dgemm with beta = 1."""
+    modes *= decay
+    dgemm(1.0, samples.T, moments.T, 1.0, modes.T, overwrite_c=True)
+    np.matmul(lagged, modes, out=past)
+
+
+@pytest.mark.parametrize("points", [4, 1000, 4096, 65536])
+@pytest.mark.parametrize("terms", [5, 32, 33, 99, 127, 200])
+def test_fold_in_chunks_matches_the_dgemm_fold(terms, points):
+    # fewer, as many and more modes than the 32 rows of one chunk, and a
+    # last chunk of 1, 3, 31 or 8 rows
+    B, dt = stepper_mod._BLOCK, 0.05
+    rng = np.random.default_rng(terms * points)
+    rates = np.geomspace(1e-3, 1e3, terms)
+    weights = rng.uniform(0.1, 1.0, terms)
+    lagged = weights * np.exp(-np.outer(dt * np.arange(1, B + 1), rates))
+    decay = np.exp(-B * dt * rates)[:, None]
+    moments = exponential_hat_moments(rates, dt, B)
+    samples = rng.uniform(0.0, 1.0, (B + 1, points))
+    start = rng.uniform(0.0, 1.0, (terms, points))
+    want_modes, want_past = start.copy(), np.empty((B, points))
+    _dgemm_fold(want_modes, decay, moments, samples, lagged, want_past)
+    modes, past = start.copy(), rng.uniform(0.0, 1.0, (B, points))
+    stepper_mod._fold_block(modes, decay, moments, samples, past)
+    np.matmul(lagged, modes, out=past)
+    assert np.abs(modes - want_modes).max() <= 1e-15 * np.abs(want_modes).max()
+    assert np.abs(past - want_past).max() <= 1e-15 * np.abs(want_past).max()
 
 
 def _direct_run(config):
