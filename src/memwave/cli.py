@@ -295,6 +295,8 @@ class _RunRows:
     row.  Each row's exterior energy is taken while the node streams past,
     from the spectrum the stepping loop already has; the latest node off the
     stride is held until the next node arrives, in case the run stops there.
+    Its spectrum is copied, since the loop rewrites its own in the next step
+    even when that step ends the run.
     """
 
     def __init__(
@@ -304,23 +306,27 @@ class _RunRows:
         self.stride = 1 if full_resolution else max(1, math.ceil(nodes / MAX_TIMESERIES_ROWS))
         self.delta = delta
         self.exterior: dict[int, float] = {}
+        shape = config.grid.spectrum_shape
+        self._scratch = np.empty(shape, dtype=complex)
         self._pending = None
+        self._pending_uh = np.empty(shape, dtype=complex) if self.stride > 1 else None
 
     def _exterior(self, state, uh) -> float:
-        return diagnostics.exterior_energy(state, self.delta, uh).value
+        return diagnostics.exterior_energy(state, self.delta, uh, self._scratch).value
 
     def __call__(self, node, state, uh, g, forcing) -> None:
         if node % self.stride == 0:
             self.exterior[node] = self._exterior(state, uh)
             self._pending = None
         else:
-            self._pending = (node, state, uh)
+            np.copyto(self._pending_uh, uh)
+            self._pending = (node, state)
 
     def rows(self, history: stepper.SolutionHistory) -> list[dict]:
         """The table's rows, from the run's records and the observed nodes."""
         if self._pending is not None:
-            node, state, uh = self._pending
-            self.exterior[node] = self._exterior(state, uh)
+            node, state = self._pending
+            self.exterior[node] = self._exterior(state, self._pending_uh)
             self._pending = None
         config = history.config
         rows = []

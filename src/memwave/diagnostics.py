@@ -92,14 +92,20 @@ class ExteriorEnergy:
 
 
 def exterior_energy(
-    state: FieldState, delta: float, spectrum: np.ndarray | None = None
+    state: FieldState,
+    delta: float,
+    spectrum: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> ExteriorEnergy:
     """||(u_t, grad u)||_2 restricted to |x| > t^(1/2 + delta).
 
     At t = 0 the restriction radius is zero, so the value covers (essentially)
     the full domain.  An empty discrete region yields value 0 with a flag.
     ``spectrum``, when given, is u's spectrum already in hand (a stepping
-    loop has it) and saves the forward FFT.
+    loop has it) and saves the forward FFT.  ``out``, a spectrum-shaped
+    complex scratch array (a new one when not given), takes the gradient's
+    symbol products and then u_t^2; the density is summed in place in the
+    gradient's first component.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -108,8 +114,9 @@ def exterior_energy(
     mask = grid.radius > radius
     if not mask.any():
         return ExteriorEnergy(0.0, True)
-    g2 = sum(c**2 for c in grid.gradient(state.u, spectrum))
-    density = state.v**2 + g2
+    out = np.empty(grid.spectrum_shape, dtype=complex) if out is None else out
+    density = grid.gradient_squared(state.u, spectrum, out=out)
+    np.add(np.square(state.v, out=grid.real_view(out)), density, out=density)
     value = float(np.sqrt(np.sum(density[mask]) * grid.cell_volume))
     return ExteriorEnergy(value, False)
 

@@ -15,6 +15,7 @@ cosh/sinh differences directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,16 @@ class SpatialGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_dim,) * self.dim
 
+    @property
+    def spectrum_shape(self) -> tuple[int, ...]:
+        """Shape of :meth:`to_spectrum`'s output (the last axis halved)."""
+        return self.shape[:-1] + (self.points_per_dim // 2 + 1,)
+
+    def real_view(self, buffer: np.ndarray) -> np.ndarray:
+        """A grid-shaped float array over the leading doubles of ``buffer``, a
+        spectrum-shaped complex array, which holds at least as many."""
+        return buffer.view(float).reshape(-1)[: math.prod(self.shape)].reshape(self.shape)
+
     @cached_property
     def axis_coords(self) -> np.ndarray:
         N = self.points_per_dim
@@ -65,7 +76,7 @@ class SpatialGrid:
     @cached_property
     def radius(self) -> np.ndarray:
         """|x| on the physical grid."""
-        axes = np.meshgrid(*([self.axis_coords] * self.dim), indexing="ij")
+        axes = np.meshgrid(*([self.axis_coords] * self.dim), indexing="ij", sparse=True)
         return np.sqrt(sum(a**2 for a in axes))
 
     @cached_property
@@ -78,16 +89,17 @@ class SpatialGrid:
 
     @cached_property
     def xi_squared(self) -> np.ndarray:
-        axes = np.meshgrid(*self.xi_axes, indexing="ij")
+        axes = np.meshgrid(*self.xi_axes, indexing="ij", sparse=True)
         return sum(a**2 for a in axes)
 
     @cached_property
     def grad_symbols(self) -> list[np.ndarray]:
-        """i*xi per axis, with the Nyquist mode zeroed (odd derivative)."""
+        """i*xi per axis, with the Nyquist mode zeroed (odd derivative), each
+        shaped to broadcast along its own axis of a spectrum."""
         out = []
         nyq = np.pi * self.points_per_dim / (2.0 * self.half_length)
         for axis in range(self.dim):
-            comp = np.meshgrid(*self.xi_axes, indexing="ij")[axis]
+            comp = np.meshgrid(*self.xi_axes, indexing="ij", sparse=True)[axis]
             sym = 1j * comp
             sym[np.isclose(np.abs(comp), nyq)] = 0.0
             out.append(sym)
@@ -112,23 +124,57 @@ class SpatialGrid:
     def to_field(self, spectrum: np.ndarray) -> np.ndarray:
         return scipy.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(self.dim)))
 
-    def l2_norm(self, field: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(field**2) * self.cell_volume))
+    def l2_norm(self, field: np.ndarray, out: np.ndarray | None = None) -> float:
+        """||field||_2; ``out``, a grid-shaped scratch array, receives field**2."""
+        return float(np.sqrt(np.sum(np.square(field, out=out)) * self.cell_volume))
 
-    def gradient(self, field: np.ndarray, spectrum: np.ndarray | None = None) -> list[np.ndarray]:
-        """Components of grad(field); ``spectrum``, when given, is the field's
-        spectrum already in hand and saves the forward FFT."""
-        spec = self.to_spectrum(field) if spectrum is None else spectrum
+    def gradient(self, field: np.ndarray) -> list[np.ndarray]:
+        """Components of grad(field)."""
+        spec = self.to_spectrum(field)
         return [self.to_field(sym * spec) for sym in self.grad_symbols]
 
-    def gradient_l2_squared(self, spectrum: np.ndarray) -> float:
-        """||grad u||_2^2 from u's spectrum, equal to the norm of :meth:`gradient`."""
-        return float(np.vdot(spectrum, self.gradient_weights * spectrum).real)
+    def gradient_squared(
+        self,
+        field: np.ndarray,
+        spectrum: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """|grad(field)|^2 on the grid, the sum of the squared components of
+        :meth:`gradient` in axis order.
+
+        The components are formed one at a time, each freed before the next
+        is made, and the sum is kept in the first.  ``spectrum``, when given,
+        is the field's spectrum already in hand and saves the forward FFT;
+        ``out``, a spectrum-shaped complex scratch array, receives each symbol
+        product in turn.
+        """
+        spec = self.to_spectrum(field) if spectrum is None else spectrum
+
+        def squared(sym: np.ndarray) -> np.ndarray:
+            component = self.to_field(np.multiply(sym, spec, out=out))
+            return np.square(component, out=component)
+
+        first, *others = self.grad_symbols
+        total = squared(first)
+        for sym in others:
+            total += squared(sym)
+        return total
+
+    def gradient_l2_squared(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> float:
+        """||grad u||_2^2 from u's spectrum, equal to the norm of :meth:`gradient`;
+        ``out``, like ``spectrum``, receives the weighted spectrum."""
+        weighted = np.multiply(self.gradient_weights, spectrum, out=out)
+        return float(np.vdot(spectrum, weighted).real)
 
     def exterior_l2(self, field: np.ndarray, radius: float) -> float:
-        """L2 norm of the field restricted to |x| > radius."""
-        mask = self.radius > radius
-        return float(np.sqrt(np.sum(field[mask] ** 2) * self.cell_volume))
+        """L2 norm of the field restricted to |x| > radius.
+
+        The squares of the gathered cells are summed in grid order; a sum
+        without the gather (masked, or over sorted radial shells) adds them in
+        another order and changes the last bits.
+        """
+        outside = field[self.radius > radius]
+        return float(np.sqrt(np.sum(np.square(outside, out=outside)) * self.cell_volume))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +198,18 @@ class FieldState:
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("state contains non-finite samples")
 
+    @classmethod
+    def _of_checked(cls, grid: SpatialGrid, u: np.ndarray, v: np.ndarray, time: float):
+        """A state from float arrays of the grid's shape that the caller has
+        already found finite, at a time >= 0: no check is repeated."""
+        state = object.__new__(cls)
+        for name, value in (("grid", grid), ("u", u), ("v", v), ("time", time)):
+            object.__setattr__(state, name, value)
+        return state
+
     def energy_l2(self) -> float:
         """|| (u_t, grad u) ||_2, the total-energy norm."""
-        g2 = sum(c**2 for c in self.grid.gradient(self.u))
+        g2 = self.grid.gradient_squared(self.u)
         return float(np.sqrt(np.sum(self.v**2 + g2) * self.grid.cell_volume))
 
 
@@ -214,6 +269,30 @@ def linear_evolve(state0: FieldState, t: float) -> FieldState:
     return duhamel_step(state0, zero, zero, t)
 
 
+def _step_matrix(nu: np.ndarray, dt: float) -> np.ndarray:
+    """The 2 x 4 per-mode matrix of :class:`StepCoefficients` for |xi|^2 = ``nu``."""
+    k0 = k0_hat(dt, nu)
+    k1 = k1_hat(dt, nu)
+    relax = 1.0 - k0 - 0.5 * k1
+    zero = nu == 0.0
+    nz = np.where(zero, 1.0, nu)
+    # forcing f0 + (f1 - f0) s/dt: the response to f0 plus the response
+    # to the slope (f1 - f0)/dt, split onto the two endpoint samples
+    slope_u = (dt - k1 - relax / nz) / (nz * dt)
+    slope_v = relax / (nz * dt)
+    em = np.expm1(-dt)
+    wv_start = -em * (1.0 + 1.0 / dt) - 1.0
+    wv_end = 1.0 + em / dt
+    return np.stack([
+        [k0, k1,
+         np.where(zero, dt / 2.0 - wv_start, relax / nz - slope_u),
+         np.where(zero, dt / 2.0 - wv_end, slope_u)],
+        [-0.5 * k0 - (nu - _BRANCH) * k1, k0 - 0.5 * k1,
+         np.where(zero, wv_start, k1 - slope_v),
+         np.where(zero, wv_end, slope_v)],
+    ])
+
+
 class StepCoefficients:
     """One Duhamel step of fixed size as a real 2x4 matrix per mode.
 
@@ -235,27 +314,13 @@ class StepCoefficients:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.dt = dt
-        nu = grid.xi_squared
-        k0 = k0_hat(dt, nu)
-        k1 = k1_hat(dt, nu)
-        relax = 1.0 - k0 - 0.5 * k1
-        zero = nu == 0.0
-        nz = np.where(zero, 1.0, nu)
-        # forcing f0 + (f1 - f0) s/dt: the response to f0 plus the response
-        # to the slope (f1 - f0)/dt, split onto the two endpoint samples
-        slope_u = (dt - k1 - relax / nz) / (nz * dt)
-        slope_v = relax / (nz * dt)
-        em = np.expm1(-dt)
-        wv_start = -em * (1.0 + 1.0 / dt) - 1.0
-        wv_end = 1.0 + em / dt
-        self.matrix = np.stack([
-            [k0, k1,
-             np.where(zero, dt / 2.0 - wv_start, relax / nz - slope_u),
-             np.where(zero, dt / 2.0 - wv_end, slope_u)],
-            [-0.5 * k0 - (nu - _BRANCH) * k1, k0 - 0.5 * k1,
-             np.where(zero, wv_start, k1 - slope_v),
-             np.where(zero, wv_end, slope_v)],
-        ])
+        self.matrix = _step_matrix(grid.xi_squared, dt)
+        # the spectra rows() writes, allocated once the matrix's temporaries are gone
+        self._products = [
+            (np.empty(grid.spectrum_shape, dtype=complex),
+             np.empty(grid.spectrum_shape, dtype=complex))
+            for _ in range(2)
+        ]
 
     def rows(self, uh, vh, f0h) -> list[tuple]:
         """Per output row (u_hat, then v_hat): the parts of a step known before
@@ -263,20 +328,37 @@ class StepCoefficients:
 
         :meth:`finish` completes a row for one end forcing, so a
         predictor-corrector step forms these products once for both passes.
+        The products are written into four spectra the coefficients hold,
+        so the rows stay valid until the next call; the inputs are only read.
         """
-        mix = 0.5 * uh + vh
-        return [(cu * uh + cm * mix, c0 * f0h, c1) for cu, cm, c0, c1 in self.matrix]
+        (free_u, start_u), (free_v, start_v) = self._products
+        # mix = u_hat/2 + v_hat lives in the v row's start buffer until the
+        # v row's own mix product consumes it
+        mix = np.add(np.multiply(0.5, uh, out=start_v), vh, out=start_v)
+        rows = []
+        for (cu, cm, c0, c1), (free, start) in zip(self.matrix, self._products):
+            np.multiply(cu, uh, out=free)
+            np.add(free, np.multiply(cm, mix, out=start), out=free)
+            rows.append((free, np.multiply(c0, f0h, out=start), c1))
+        return rows
 
     @staticmethod
-    def finish(row: tuple, f1h):
-        """A row of :meth:`rows` one step later for the end forcing ``f1h``."""
+    def finish(row: tuple, f1h, out=None):
+        """A row of :meth:`rows` one step later for the end forcing ``f1h``,
+        written into ``out`` (which may be ``f1h`` itself, not a spectrum of
+        the row)."""
         free, start, weight = row
-        return free + (start + weight * f1h)
+        total = np.multiply(weight, f1h, out=out)
+        np.add(start, total, out=total)
+        return np.add(free, total, out=total)
 
-    def advance(self, uh, vh, f0h, f1h):
-        """One step in spectral space; forcing samples at both step endpoints."""
+    def advance(self, uh, vh, f0h, f1h, out=(None, None)):
+        """One step in spectral space; forcing samples at both step endpoints.
+
+        ``out`` takes the new (u_hat, v_hat); it may be ``(uh, vh)``.
+        """
         u_row, v_row = self.rows(uh, vh, f0h)
-        return self.finish(u_row, f1h), self.finish(v_row, f1h)
+        return self.finish(u_row, f1h, out[0]), self.finish(v_row, f1h, out[1])
 
 
 def duhamel_step(

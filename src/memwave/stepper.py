@@ -17,7 +17,12 @@ A step applies one precomputed per-mode propagator
 start-forcing products are formed once for both passes, and costs six FFTs
 in any dimension: the known part of the memory sum, the predicted u and its
 |u|^p, the new u and v, and the new |u|^p sample.  ||grad u||_2 in the
-per-step records is taken from u's spectrum by Parseval.
+per-step records is taken from u's spectrum by Parseval.  Every product of a
+step is written into buffers allocated once per run (u's, v's and the
+forcing's spectra, the propagator's row products, the known part and one
+scratch spectrum), so a step makes no new grid-sized array besides the FFTs'
+outputs and the exterior-mass norm's gather of the cells outside the
+support ball.
 
 :func:`run` keeps per-node norms only.  Whatever else a consumer needs from
 the nodes (CSV rows, weak-form pairings) it accumulates as an observer that
@@ -277,13 +282,27 @@ class MemoryConvolution:
         self.first, self.conv = product_weights(alpha, n_steps)
         self.tail_weight = self.scale * self.conv[0]
 
-    def known_part(self, samples: np.ndarray, m_next: int) -> np.ndarray:
-        """Weighted sum over samples 0..m_next-1 of the node-m_next integral."""
-        acc = self.first[m_next] * samples[0]
+    def known_part(
+        self,
+        samples: np.ndarray,
+        m_next: int,
+        *,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Weighted sum over samples 0..m_next-1 of the node-m_next integral.
+
+        The sum is written into ``out``, an array shaped like one sample; the
+        weighted sum over samples 1.. is formed first in ``scratch``, a flat
+        array of one sample's size.  Either is a new array when not given.
+        """
+        acc = np.multiply(self.first[m_next], samples[0], out=out)
         if m_next >= 2:
             w = self.conv[m_next - 1 : 0 : -1]
-            acc = acc + np.tensordot(w, samples[1:m_next], axes=(0, 0))
-        return self.scale * acc
+            rows = samples[1:m_next]
+            later = np.dot(w, rows.reshape(len(rows), -1), out=scratch)
+            np.add(acc, later.reshape(acc.shape), out=acc)
+        return np.multiply(self.scale, acc, out=acc)
 
     def value_at(self, samples: np.ndarray, m: int) -> np.ndarray:
         if m == 0:
@@ -291,15 +310,17 @@ class MemoryConvolution:
         return self.known_part(samples, m) + self.tail_weight * samples[m]
 
 
-def _power_p(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p with |u| = 0 mapped exactly to 0 for non-integer p.
+def _power_p(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^p with |u| = 0 mapped exactly to 0 for non-integer p, written into
+    ``out`` (which may be ``u`` itself; a new array when not given).
 
     exp(p log|u|) in place: log 0 = -inf gives exactly 0, and fmax sends NaN
     to 0 before the logarithm.
     """
-    absu = np.abs(u)
+    absu = np.abs(u, out=out)
     if float(p).is_integer():
-        return absu ** int(p)
+        absu **= int(p)
+        return absu
     np.fmax(absu, 0.0, out=absu)
     with np.errstate(divide="ignore"):
         np.log(absu, out=absu)
@@ -326,14 +347,34 @@ def detect_blowup(record: StepRecord, initial: StepRecord, threshold: float) -> 
     return value >= threshold * base
 
 
+class _Workspace:
+    """Scratch arrays of one run, reused by every step: ``spectrum`` complex
+    like a spectrum, ``field`` real on the grid and ``flags`` boolean on it.
+
+    ``field`` is the leading part of ``spectrum``'s memory (a spectrum holds
+    at least as many doubles as a field), so a caller uses one of the two at
+    a time.
+    """
+
+    def __init__(self, grid: SpatialGrid):
+        self.spectrum = np.empty(grid.spectrum_shape, dtype=complex)
+        self.field = grid.real_view(self.spectrum)
+        self.flags = np.empty(grid.shape, dtype=bool)
+
+
 def _make_record(
-    config: ScenarioConfig, state: FieldState, uh: np.ndarray, forcing_l2: float
+    config: ScenarioConfig,
+    state: FieldState,
+    uh: np.ndarray,
+    forcing_l2: float,
+    work: _Workspace,
 ) -> StepRecord:
-    """Norms of ``state``; ||grad u||^2 comes from u's spectrum ``uh`` by Parseval."""
+    """Norms of ``state``; ||grad u||^2 comes from u's spectrum ``uh`` by
+    Parseval.  The squares and the weighted spectrum go into ``work``."""
     grid = config.grid
-    l2_u = grid.l2_norm(state.u)
-    grad2 = grid.gradient_l2_squared(uh)
-    l2_ut2 = grid.l2_norm(state.v) ** 2
+    l2_u = grid.l2_norm(state.u, out=work.field)
+    grad2 = grid.gradient_l2_squared(uh, out=work.spectrum)
+    l2_ut2 = grid.l2_norm(state.v, out=work.field) ** 2
     return StepRecord(
         t=state.time,
         l2_u=l2_u,
@@ -348,9 +389,11 @@ def _make_record(
 #: ``observer(node, state, u_hat, g, forcing)``: the node index, the
 #: FieldState, u's spectrum, the |u|^p sample and the memory forcing at the
 #: node (both None when the nonlinearity is disabled; the forcing is zero at
-#: node 0).  Observers must not modify the arrays they are given, and must
-#: copy a |u|^p sample they keep: it lives in a block that later steps
-#: overwrite.
+#: node 0).  Observers must not modify the arrays they are given.  The state
+#: may be kept; u_hat, g and the forcing are valid only during the call: they
+#: live in buffers that the next step rewrites (g in the memory sum's block),
+#: also when that step is the one the run stops at, so an observer copies
+#: what it keeps of them.
 Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray | None], None]
 
 #: Steps per block of the blocked memory sum.
@@ -369,17 +412,21 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
     return _BLOCK, exponential_sum_terms(config.dt, M * config.dt)
 
 
-#: Grid-sized float arrays a run holds at its peak besides the memory sum's
-#: arrays, with and without the nonlinearity: the kept states, the spectra
-#: and temporaries of one step, the step matrix and the grid's cached
-#: geometry.  tracemalloc puts them at 24-29 and 12-24 on 1-, 2- and 3-D
-#: grids of 1024 to 32768 points, direct and blocked; tests/test_stepper.py
-#: checks that the estimate bounds the peak.
-_WORKING_ARRAYS = {True: 32, False: 28}
+#: Grid-sized arrays a run holds at its peak besides the memory sum's
+#: arrays, with the nonlinearity on or off: the step's reused buffers (u's,
+#: v's and the forcing's spectra, the propagator's four row products, the
+#: known part and one scratch spectrum), the kept states, the step matrix,
+#: the grid's cached geometry and the few new arrays of a step (its FFT
+#: outputs).  tracemalloc puts them at 22-24 on 1-, 2- and 3-D grids of 1024
+#: to 32768 points, direct and blocked; tests/test_stepper.py checks that the
+#: estimate bounds the peak.
+_WORKING_ARRAYS = 24
 #: bytes per node outside the arrays (a StepRecord, product weights) and
-#: bytes independent of the grid and the step count
+#: bytes independent of the grid and the step count, mostly numpy's ufunc
+#: buffers of 8192 elements: 128 KiB for a complex product of a real
+#: factor, 64 KiB for the block fold's broadcast
 _NODE_BYTES = 400
-_FIXED_BYTES = 32 * 1024
+_FIXED_BYTES = 176 * 1024
 
 
 def memory_estimate(config: ScenarioConfig) -> int:
@@ -401,7 +448,7 @@ def memory_estimate(config: ScenarioConfig) -> int:
         memory = (block + 1) * points * 8
         if terms:
             memory += (terms + block) * points * 8 + 2 * terms * (block + 1) * 8
-    working = _WORKING_ARRAYS[nonlinear] * points * 8
+    working = _WORKING_ARRAYS * points * 8
     return memory + working + nodes * _NODE_BYTES + _FIXED_BYTES
 
 
@@ -483,14 +530,18 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     grid = config.grid
     M = config.n_steps
     dt = config.dt
+    p = config.p
     state0 = make_initial_data(config)
+    work = _Workspace(grid)
+    # u's and v's spectra and the forcing's spectrum at the step start: each
+    # step rewrites these three buffers in place
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
+    fh = np.zeros_like(uh)
     history = SolutionHistory(config)
-    history.records.append(_make_record(config, state0, uh, 0.0))
+    history.records.append(_make_record(config, state0, uh, 0.0, work))
 
     coeffs = StepCoefficients(grid, dt)
-    fh_start = np.zeros_like(uh)
     initial_record = history.records[0]
     state = state0
 
@@ -499,6 +550,9 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
         history.states = [state0, state]
         return history
 
+    def _finite(field: np.ndarray) -> bool:
+        return bool(np.isfinite(field, out=work.flags).all())
+
     nonlinear = config.nonlinearity_enabled
     g = forcing = past = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -506,9 +560,9 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
             B, terms = _memory_blocks(config)
             # the |u|^p samples of the current block, nodes start .. start + B
             block = np.zeros((B + 1,) + grid.shape)
-            block[0] = _power_p(state0.u, config.p)
-            g = block[0]
-            forcing = np.zeros(grid.shape)
+            g = _power_p(state0.u, p, out=block[0])
+            # the known part of the memory sum, completed to the forcing
+            forcing = known = np.zeros(grid.shape)
             conv = MemoryConvolution(config.gamma, dt, B)
             w = conv.tail_weight
             gh = grid.to_spectrum(g)
@@ -529,42 +583,48 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
             t_next = (m + 1) * dt
             if nonlinear:
                 k = m + 1 - start
-                known = conv.known_part(block, k)
+                conv.known_part(block, k, out=known, scratch=work.field.reshape(-1))
                 if past is not None:
                     known += past[k - 1].reshape(grid.shape)
                 kh = grid.to_spectrum(known)
-                u_row, v_row = coeffs.rows(uh, vh, fh_start)
-                uh_star = coeffs.finish(u_row, kh + w * gh)
-                del uh, vh, fh_start, gh
-                g_star = _power_p(grid.to_field(uh_star), config.p)
-                del uh_star
-                fh_end = kh + w * grid.to_spectrum(g_star)
+                u_row, v_row = coeffs.rows(uh, vh, fh)
+                # the predictor's end forcing, then its u_hat, in fh
+                np.add(kh, np.multiply(w, gh, out=fh), out=fh)
+                del gh
+                uh_star = coeffs.finish(u_row, fh, out=fh)
+                g_star = grid.to_field(uh_star)
+                fh_end = grid.to_spectrum(_power_p(g_star, p, out=g_star))
                 del g_star
-                uh, vh = coeffs.finish(u_row, fh_end), coeffs.finish(v_row, fh_end)
+                np.add(kh, np.multiply(w, fh_end, out=fh_end), out=fh_end)
+                coeffs.finish(u_row, fh_end, out=uh)
+                coeffs.finish(v_row, fh_end, out=vh)
                 del u_row, v_row, fh_end
             else:
-                uh, vh = coeffs.advance(uh, vh, fh_start, fh_start)
+                coeffs.advance(uh, vh, fh, fh, out=(uh, vh))
             u = grid.to_field(uh)
             v = grid.to_field(vh)
-            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            if not (_finite(u) and _finite(v)):
                 return _finish(_non_finite_status(
                     config, history.records[-1], initial_record, t_next, "u or v"
                 ))
             if nonlinear:
-                block[k] = _power_p(u, config.p)
-                g = block[k]
-                forcing = np.add(known, w * g, out=known)
-                if not np.isfinite(forcing).all():
+                g = _power_p(u, p, out=block[k])
+                np.add(known, np.multiply(w, g, out=work.field), out=known)
+                if not _finite(forcing):
                     return _finish(_non_finite_status(
                         config, history.records[-1], initial_record, t_next, "forcing"
                     ))
+            # u and v are new arrays from the inverse FFTs, checked finite
+            # above; the state they replace is freed before the next FFT
+            state = FieldState._of_checked(grid, u, v, t_next)
+            if nonlinear:
                 gh = grid.to_spectrum(g)
-                fh_start = np.add(kh, w * gh, out=kh)
-                forcing_l2 = grid.l2_norm(forcing)
+                np.add(kh, np.multiply(w, gh, out=fh), out=fh)
+                del kh
+                forcing_l2 = grid.l2_norm(forcing, out=work.field)
             else:
                 forcing_l2 = 0.0
-            state = FieldState(grid, u, v, t_next)
-            record = _make_record(config, state, uh, forcing_l2)
+            record = _make_record(config, state, uh, forcing_l2, work)
             history.records.append(record)
             for observer in observers:
                 observer(m + 1, state, uh, g, forcing)

@@ -437,6 +437,50 @@ def test_blowup_rows_sit_on_the_stride_of_the_planned_steps(monkeypatch):
     assert nodes[-1] == round(history.status.t / scenario.dt)
 
 
+def _overflowing_power(samples_before):
+    """stepper._power_p that overflows after ``samples_before`` samples."""
+    power_p, calls = stepper._power_p, []
+
+    def power(u, p, out=None):
+        calls.append(None)
+        return power_p(u if len(calls) <= samples_before else 1e300 * u, p, out=out)
+
+    return power
+
+
+@pytest.mark.parametrize(
+    "name,phase",
+    [("blowup", stepper.Phase.BLOWUP_DETECTED), ("n1", stepper.Phase.NUMERICAL_FAILURE)],
+)
+def test_held_row_survives_the_step_that_stops_the_run(name, phase, monkeypatch):
+    # the last recorded node is off the stride and the step after it makes
+    # u non-finite: the loop rewrites its spectrum buffer in that step before
+    # it returns, so the row held for that node must not read the buffer
+    monkeypatch.setattr(cli_mod, "MAX_TIMESERIES_ROWS", 10)
+    scenario = _oracle_scenario(name)
+    if name == "blowup":
+        # the forcing overflows while the run grows, before the functional
+        # reaches the threshold (as in tests/test_stepper.py)
+        scenario = stepper.ScenarioConfig(
+            grid=SpatialGrid(1, 32.0, 256), gamma=0.9, p=2.0, support_radius=4.0,
+            amplitude=1.0, dt=0.125, t_end=25.0, blowup_threshold=1e200,
+        )
+    else:
+        # |u|^p overflows from the second sample of step 14 on
+        monkeypatch.setattr(stepper, "_power_p", _overflowing_power(2 * 13 + 2))
+    observer = cli_mod._RunRows(scenario, 0.1, False)
+    history = stepper.run(scenario, observers=(observer,))
+    assert history.status.phase is phase
+    last = len(history.records) - 1
+    assert last % observer.stride != 0
+    assert history.status.t == pytest.approx((last + 1) * scenario.dt)
+    row = observer.rows(history)[-1]
+    assert row["t"] == history.states[-1].time
+    # from scratch, u's spectrum is transformed anew: equal up to round-off
+    want = exterior_energy(history.states[-1], 0.1).value
+    assert row["exterior_energy"] == pytest.approx(want, rel=1e-12)
+
+
 SWEEP_THREE = SWEEP_CONFIG.replace("sweep_p = 2.0, 4.5", "sweep_p = 2.0, 3.0, 4.5")
 
 

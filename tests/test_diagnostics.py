@@ -427,14 +427,15 @@ def _weak_residual_stacked(history, states, forcing, params):
 
 
 class KeepNodes:
-    """Test observer: every node's state and forcing."""
+    """Test observer: every node's state and a copy of its forcing, which
+    lives in a buffer that the next step rewrites."""
 
     def __init__(self):
         self.states, self.forcing = [], []
 
     def __call__(self, node, state, uh, g, forcing):
         self.states.append(state)
-        self.forcing.append(forcing)
+        self.forcing.append(None if forcing is None else forcing.copy())
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,26 @@ def test_grid_spacing_and_volume():
     assert grid.xi_squared.shape == (16, 9)
 
 
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
+def test_gradient_squared_is_the_sum_of_squared_components(dim, points):
+    # one component at a time, from the spectrum in hand or not, with or
+    # without a scratch array: bit for bit the squares of gradient() summed
+    grid = SpatialGrid(dim, 8.0, points)
+    u = np.random.default_rng(dim).standard_normal(grid.shape)
+    want = sum(c**2 for c in grid.gradient(u))
+    scratch = np.empty(grid.spectrum_shape, dtype=complex)
+    for got in (
+        grid.gradient_squared(u),
+        grid.gradient_squared(u, grid.to_spectrum(u), out=scratch),
+    ):
+        assert got.tobytes() == want.tobytes()
+    # the symbols broadcast along their own axis only
+    for axis, sym in enumerate(grid.grad_symbols):
+        assert sym.shape == tuple(
+            n if i == axis else 1 for i, n in enumerate(grid.spectrum_shape)
+        )
+
+
 def test_field_state_validation(grid1d):
     good = np.zeros(grid1d.shape)
     with pytest.raises(ValueError):

@@ -41,11 +41,15 @@ def small_config(**overrides):
     return ScenarioConfig(**base)
 
 
+def _copy(array):
+    return None if array is None else array.copy()
+
+
 class Collect:
     """Test observer: every node's state, spectrum, |u|^p sample and forcing.
 
-    The sample is copied: it lives in the memory sum's block, which later
-    steps overwrite.
+    The spectrum, the sample and the forcing are copied: they live in
+    buffers (the sample in the memory sum's block) that later steps rewrite.
     """
 
     def __init__(self):
@@ -54,9 +58,9 @@ class Collect:
     def __call__(self, node, state, uh, g, forcing):
         assert node == len(self.states)
         self.states.append(state)
-        self.spectra.append(uh)
-        self.g.append(None if g is None else g.copy())
-        self.forcing.append(forcing)
+        self.spectra.append(uh.copy())
+        self.g.append(_copy(g))
+        self.forcing.append(_copy(forcing))
 
 
 def collected_run(config):
@@ -553,52 +557,144 @@ def test_fold_in_chunks_matches_the_dgemm_fold(terms, points):
     assert np.abs(past - want_past).max() <= 1e-15 * np.abs(want_past).max()
 
 
-def _direct_run(config):
-    """The step loop as it was before the blocked memory sum: every |u|^p
-    sample is kept and the direct sum runs over all of them."""
+def _parent_power_p(u, p):
+    """|u|^p as a new array, as the loop formed it before its workspace."""
+    absu = np.abs(u)
+    if float(p).is_integer():
+        return absu ** int(p)
+    np.fmax(absu, 0.0, out=absu)
+    with np.errstate(divide="ignore"):
+        np.log(absu, out=absu)
+    absu *= p
+    return np.exp(absu, out=absu)
+
+
+def _parent_record(config, state, uh, forcing_l2):
+    """The per-node norms, each from its own temporaries and mask gather."""
     grid = config.grid
-    M = config.n_steps
+    l2_u = float(np.sqrt(np.sum(state.u**2) * grid.cell_volume))
+    grad2 = float(np.vdot(uh, grid.gradient_weights * uh).real)
+    l2_ut2 = float(np.sqrt(np.sum(state.v**2) * grid.cell_volume)) ** 2
+    outside = state.u[grid.radius > state.time + config.support_radius]
+    return StepRecord(
+        t=state.time,
+        l2_u=l2_u,
+        h1_u=math.sqrt(l2_u**2 + grad2),
+        l2_du=math.sqrt(l2_ut2 + grad2),
+        forcing_l2=forcing_l2,
+        exterior_mass=float(np.sqrt(np.sum(outside**2) * grid.cell_volume)),
+    )
+
+
+def _parent_run(config, power=_parent_power_p):
+    """The step loop as it was before its preallocated workspace: every
+    product, the memory sum's known part and every norm in a new array.
+
+    Returns the records, every node's u spectrum and forcing, the final
+    state and the status, for the blocked memory sum as for a single block.
+    """
+    grid = config.grid
+    M, dt, p = config.n_steps, config.dt, config.p
+    l2 = lambda field: float(np.sqrt(np.sum(field**2) * grid.cell_volume))
     state0 = make_initial_data(config)
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
-    records = [stepper_mod._make_record(config, state0, uh, 0.0)]
-    forcings = [np.zeros(grid.shape)]
-    G = np.zeros((M + 1,) + grid.shape)
-    G[0] = _power_p(state0.u, config.p)
-    conv = MemoryConvolution(config.gamma, config.dt, M)
+    records = [_parent_record(config, state0, uh, 0.0)]
+    spectra, forcings = [uh], [np.zeros(grid.shape)]
+    matrix = stepper_mod.StepCoefficients(grid, dt).matrix
+
+    def rows(uh, vh, f0h):
+        mix = 0.5 * uh + vh
+        return [(cu * uh + cm * mix, c0 * f0h, c1) for cu, cm, c0, c1 in matrix]
+
+    def finish(row, f1h):
+        free, start, weight = row
+        return free + (start + weight * f1h)
+
+    B, terms = stepper_mod._memory_blocks(config)
+    block = np.zeros((B + 1,) + grid.shape)
+    with np.errstate(over="ignore"):
+        block[0] = power(state0.u, p)
+    conv = MemoryConvolution(config.gamma, dt, B)
     w = conv.tail_weight
-    gh = grid.to_spectrum(G[0])
-    coeffs = stepper_mod.StepCoefficients(grid, config.dt)
+
+    def known_part(k):
+        acc = conv.first[k] * block[0]
+        if k >= 2:
+            acc = acc + np.tensordot(conv.conv[k - 1 : 0 : -1], block[1:k], axes=(0, 0))
+        return conv.scale * acc
+
+    past = None
+    if terms:
+        rates, weights = stepper_mod.exponential_sum(config.gamma, dt, M * dt)
+        lagged = weights * np.exp(-np.outer(dt * np.arange(1, B + 1), rates))
+        decay = np.exp(-B * dt * rates)[:, None]
+        moments = exponential_hat_moments(rates, dt, B)
+        modes = np.zeros((terms, block[0].size))
+        past = np.zeros((B, block[0].size))
+    gh = grid.to_spectrum(block[0])
     fh_start = np.zeros_like(uh)
-    state = state0
+    state, start = state0, 0
+
+    def stop(status):
+        return records, spectra, forcings, state, status
+
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(M):
-            t_next = (m + 1) * config.dt
-            known = conv.known_part(G, m + 1)
+            t_next = (m + 1) * dt
+            k = m + 1 - start
+            known = known_part(k)
+            if past is not None:
+                known += past[k - 1].reshape(grid.shape)
             kh = grid.to_spectrum(known)
-            u_row, v_row = coeffs.rows(uh, vh, fh_start)
-            uh_star = coeffs.finish(u_row, kh + w * gh)
-            g_star = _power_p(grid.to_field(uh_star), config.p)
+            u_row, v_row = rows(uh, vh, fh_start)
+            uh_star = finish(u_row, kh + w * gh)
+            g_star = power(grid.to_field(uh_star), p)
             fh_end = kh + w * grid.to_spectrum(g_star)
-            uh, vh = coeffs.finish(u_row, fh_end), coeffs.finish(v_row, fh_end)
+            uh, vh = finish(u_row, fh_end), finish(v_row, fh_end)
             u = grid.to_field(uh)
             v = grid.to_field(vh)
             if not (np.isfinite(u).all() and np.isfinite(v).all()):
-                return records, forcings, state, t_next
-            G[m + 1] = _power_p(u, config.p)
-            forcing = known + w * G[m + 1]
+                return stop(stepper_mod._non_finite_status(
+                    config, records[-1], records[0], t_next, "u or v"
+                ))
+            block[k] = power(u, p)
+            forcing = np.add(known, w * block[k], out=known)
             if not np.isfinite(forcing).all():
-                return records, forcings, state, t_next
-            gh = grid.to_spectrum(G[m + 1])
-            fh_start = kh + w * gh
+                return stop(stepper_mod._non_finite_status(
+                    config, records[-1], records[0], t_next, "forcing"
+                ))
+            gh = grid.to_spectrum(block[k])
+            fh_start = np.add(kh, w * gh, out=kh)
             state = stepper_mod.FieldState(grid, u, v, t_next)
-            records.append(
-                stepper_mod._make_record(config, state, uh, grid.l2_norm(forcing))
-            )
+            records.append(_parent_record(config, state, uh, l2(forcing)))
+            spectra.append(uh)
             forcings.append(forcing)
             if detect_blowup(records[-1], records[0], config.blowup_threshold):
-                return records, forcings, state, t_next
-    return records, forcings, state, None
+                return stop(stepper_mod.RunStatus.blow_up(t_next))
+            if past is not None and k == B:
+                modes *= decay
+                for q in range(0, terms, B):
+                    modes[q : q + B] += moments[q : q + B] @ block.reshape(B + 1, -1)
+                np.matmul(lagged, modes, out=past)
+                block[0] = block[B]
+                start = m + 1
+    return stop(stepper_mod.RunStatus.completed())
+
+
+def _assert_run_is_the_parent_loop(config, power=_parent_power_p):
+    history, seen = collected_run(config)
+    records, spectra, forcings, state, status = _parent_run(config, power)
+    assert history.status == status
+    assert history.records == records
+    assert history.states[-1].u.tobytes() == state.u.tobytes()
+    assert history.states[-1].v.tobytes() == state.v.tobytes()
+    assert len(seen.forcing) == len(forcings) == len(spectra)
+    for got, want in zip(seen.forcing, forcings):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(seen.spectra, spectra):
+        assert got.tobytes() == want.tobytes()
+    return history
 
 
 @pytest.mark.parametrize(
@@ -616,14 +712,44 @@ def test_run_of_one_block_is_the_direct_loop_bit_for_bit(overrides, monkeypatch)
         stepper_mod, "_BLOCK", max(stepper_mod._BLOCK, config.n_steps)
     )
     assert stepper_mod._memory_blocks(config) == (config.n_steps, 0)
-    history, seen = collected_run(config)
-    records, forcings, state, t_stop = _direct_run(config)
-    assert history.records == records
-    assert history.status.t == t_stop
-    assert history.states[-1].u.tobytes() == state.u.tobytes()
-    assert history.states[-1].v.tobytes() == state.v.tobytes()
-    for got, want in zip(seen.forcing, forcings):
-        assert got.tobytes() == want.tobytes()
+    _assert_run_is_the_parent_loop(config)
+
+
+@pytest.mark.parametrize(
+    "overrides,phase",
+    [
+        (dict(p=4.5, amplitude=1e-2, t_end=10.0), Phase.COMPLETED),
+        (dict(grid=SpatialGrid(2, 8.0, 32), support_radius=3.0, p=2.5, dt=0.05,
+              t_end=3.0), Phase.COMPLETED),
+        (dict(grid=SpatialGrid(3, 6.0, 16), support_radius=2.0, p=4.5, amplitude=1e-2,
+              dt=0.05, t_end=2.5), Phase.COMPLETED),
+        (dict(amplitude=1.0, t_end=25.0), Phase.BLOWUP_DETECTED),
+        # overflows after growing past 1e100, short of the threshold
+        (dict(amplitude=1.0, t_end=25.0, blowup_threshold=1e200), Phase.BLOWUP_DETECTED),
+    ],
+    ids=["n1", "n2", "n3", "blowup", "overflow"],
+)
+def test_blocked_run_is_the_parent_loop_bit_for_bit(overrides, phase):
+    config = small_config(**overrides)
+    block, terms = stepper_mod._memory_blocks(config)
+    assert config.n_steps > block == stepper_mod._BLOCK and terms > 0
+    history = _assert_run_is_the_parent_loop(config)
+    assert history.status.phase is phase
+
+
+def test_forced_overflow_is_the_parent_loop_bit_for_bit(monkeypatch):
+    # |u|^p of 1e100 * u overflows the first sample: a numerical failure
+    # after the first step, in the loop and in its parent alike
+    power_p = stepper_mod._power_p
+    monkeypatch.setattr(
+        stepper_mod, "_power_p", lambda u, p, out=None: power_p(1e100 * u, p, out=out)
+    )
+    config = small_config(p=4.5, amplitude=1e-3, t_end=5.0)
+    assert stepper_mod._memory_blocks(config)[1] > 0
+    history = _assert_run_is_the_parent_loop(
+        config, lambda u, p: _parent_power_p(1e100 * u, p)
+    )
+    assert history.status.phase is Phase.NUMERICAL_FAILURE
 
 
 @pytest.mark.parametrize("grid_points,t_end", [(256, 25.0), (512, 50.0)])
@@ -655,7 +781,9 @@ def test_overflow_at_small_amplitude_is_a_numerical_failure(monkeypatch):
     # |u|^p taken of 1e100 * u overflows at the first sample, while the
     # blow-up functional of the data is still its initial value
     power_p = stepper_mod._power_p
-    monkeypatch.setattr(stepper_mod, "_power_p", lambda u, p: power_p(1e100 * u, p))
+    monkeypatch.setattr(
+        stepper_mod, "_power_p", lambda u, p, out=None: power_p(1e100 * u, p, out=out)
+    )
     config = small_config(p=4.5, amplitude=1e-3, t_end=2.0)
     history = run(config)
     assert history.status.phase is Phase.NUMERICAL_FAILURE
@@ -687,6 +815,7 @@ def test_overflow_after_growth_is_a_blow_up():
         # 40 steps, more than one block
         pytest.param(1, 1024, 2.0, id="1-1024"),
         pytest.param(2, 64, 2.0, id="2-64"),
+        pytest.param(3, 32, 2.0, id="3-32"),
         # 400 steps: a nonlinear run folds its block twelve times
         pytest.param(1, 1024, 20.0, id="1-1024-blocked"),
     ],
