@@ -511,6 +511,9 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
 
     The exception's class goes to the entry's ``flag`` and its message to a
     note in summary.txt; the other entries complete and are written as usual.
+    Parallel entries are capped at as many copies of the largest entry's
+    :func:`stepper.memory_estimate` as physical memory holds (at least one),
+    and a binding cap is noted in summary.txt.
     """
     report = SummaryReport("sweep", summary_columns=SUMMARY_COLUMNS)
     entries = _sweep_entries(manifest)
@@ -521,8 +524,20 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
         except Exception as exc:  # the other entries must still complete
             return exc
 
-    if manifest.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(manifest.workers) as pool:
+    workers = manifest.workers
+    if workers > 1:
+        largest = max(stepper.memory_estimate(s) for s in entries)
+        available = stepper._physical_memory()
+        fit = max(1, available // largest)
+        if fit < workers:
+            report.notes.append(
+                f"workers capped at {fit} of {workers}: the largest entry needs "
+                f"about {largest / 2**30:.1f} GiB of {available / 2**30:.1f} GiB "
+                "physical memory"
+            )
+            workers = fit
+    if workers > 1:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             outcomes = list(pool.map(_one, entries))
     else:
         outcomes = [_one(s) for s in entries]

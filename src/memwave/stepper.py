@@ -8,9 +8,11 @@ endpoint forcing is resolved by a single predictor-corrector pass.
 A run of M steps on N points sums the memory in blocks of B = 32 steps:
 exact weights within the block, and the history before it carried by Q
 exponentials fitted to (t-s)^(-gamma) on [dt, t_end] to 1e-9 relative
-(:func:`~memwave.frac_ops.exponential_sum`), well inside the forcing's 1e-8
-budget.  That costs O(M (B + Q) N) time and O((Q + 2B) N) memory instead of
-O(M^2 N) and O(M N).  A run of at most B steps is one block: the direct sum.
+(:func:`~memwave.frac_ops.exponential_sum`, one trapezoid rule: Q = 34 for
+t_end/dt = 200 and 42 for 3471 at gamma = 0.9), well inside the forcing's
+1e-8 budget.  That costs O(M (B + Q) N) time and O((Q + 2B) N) memory
+instead of O(M^2 N) and O(M N).  A run of at most B steps is one block: the
+direct sum.
 
 A step applies one precomputed per-mode propagator
 (:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
@@ -409,7 +411,7 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
     M = config.n_steps
     if M <= _BLOCK:
         return M, 0
-    return _BLOCK, exponential_sum_terms(config.dt, M * config.dt)
+    return _BLOCK, exponential_sum_terms(config.dt, M * config.dt, config.gamma)
 
 
 #: Grid-sized arrays a run holds at its peak besides the memory sum's

@@ -302,6 +302,45 @@ def test_sweep_workers_do_not_change_outputs(tmp_path):
     assert (out1 / "regime_map.csv").read_bytes() == (out2 / "regime_map.csv").read_bytes()
 
 
+@pytest.mark.parametrize("fits,pool", [(2.5, 2), (9.0, 3), (0.5, None)])
+def test_sweep_workers_are_capped_by_physical_memory(tmp_path, monkeypatch, fits, pool):
+    # three entries on three workers, with physical memory for 2.5, 9 or 0.5
+    # copies of the largest entry: a pool of 2, of 3, or no pool at all
+    _, clean = run_cli(tmp_path / "clean", SWEEP_THREE, "sweep")
+    entries = cli_mod._sweep_entries(parse_config(SWEEP_THREE, "sweep"))
+    largest = max(stepper.memory_estimate(s) for s in entries)
+    available = int(fits * largest)
+    monkeypatch.setattr(stepper, "_physical_memory", lambda: available)
+    pools = []
+    real_pool = cli_mod.concurrent.futures.ThreadPoolExecutor
+
+    def spy(workers):
+        pools.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(cli_mod.concurrent.futures, "ThreadPoolExecutor", spy)
+    code, out = run_cli(tmp_path / "capped", SWEEP_THREE, "sweep", "--workers", "3")
+    assert code == 0
+    assert pools == ([] if pool is None else [pool])
+    notes = [line for line in (out / "summary.txt").read_text().splitlines()
+             if line.startswith("note: workers capped")]
+    if pool == 3:
+        assert notes == []
+    else:
+        assert notes == [
+            f"note: workers capped at {pool or 1} of 3: the largest entry needs "
+            f"about {largest / 2**30:.1f} GiB of {available / 2**30:.1f} GiB "
+            "physical memory"
+        ]
+    if pool is None:
+        # one worker, and each entry still refuses to run on its own
+        statuses = [row["status"] for row in read_csv(out / "summary.csv")]
+        assert statuses == ["error"] * 3
+    else:
+        for name in ("summary.csv", "regime_map.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
 def test_full_resolution_flag(tmp_path):
     config = TINY_LINEAR.replace("t_end = 10.0", "t_end = 8.0")
     _, strided = run_cli(tmp_path / "a", config, "simulate")

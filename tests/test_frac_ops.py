@@ -397,18 +397,36 @@ def test_product_weights_are_nonnegative_and_sum_to_kernel_mass():
 # sum-of-exponentials kernel
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("gamma", [0.001, 0.01, 0.1, 0.5, 0.9, 0.999])
 @pytest.mark.parametrize("ratio", [10.0, 1e3, 1e5])
 def test_exponential_sum_self_check_holds_up_to_1e5_steps(gamma, ratio):
     horizon = 50.0
     dt = horizon / ratio
     rates, weights = exponential_sum(gamma, dt, horizon)
-    assert len(rates) == len(weights) == exponential_sum_terms(dt, horizon)
+    assert len(rates) == len(weights) == exponential_sum_terms(dt, horizon, gamma)
     assert (rates > 0.0).all() and (weights > 0.0).all()
     # an independent, five times finer tau grid, the ends included
     tau = np.geomspace(dt, horizon, 5000)
     approx = np.exp(-np.outer(tau, rates)) @ weights
     assert np.max(np.abs(approx * tau**gamma - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", [0.001, 0.01, 0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("ratio,most", [(200.0, 36), (3471.0, 45)])
+def test_exponential_sum_term_count_stays_bounded(gamma, ratio, most):
+    # the horizon/dt of the 3-D and sweep runs (200) and of the long 1-D run
+    # (3471); the term count is the length of the memory modes
+    horizon = 50.0
+    dt = horizon / ratio
+    assert len(exponential_sum(gamma, dt, horizon)[0]) <= most
+
+
+def test_exponential_sum_check_rejects_a_coarser_step(monkeypatch):
+    import memwave.frac_ops as frac_ops
+
+    monkeypatch.setattr(frac_ops, "SOE_STEP", 0.5)
+    with pytest.raises(ValueError, match="exponentials misses"):
+        exponential_sum(0.9, 0.25, 50.0)
 
 
 def test_exponential_sum_raises_when_the_check_fails(monkeypatch):

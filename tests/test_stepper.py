@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg.blas import dgemm
 
 import memwave.stepper as stepper_mod
-from memwave.frac_ops import exponential_hat_moments
+from memwave.frac_ops import SOE_STEP, exponential_hat_moments
 from memwave.spectral import SpatialGrid, linear_evolve
 from memwave.stepper import (
     MemoryConvolution,
@@ -856,12 +856,14 @@ def test_memory_estimate_of_blocked_sum_does_not_grow_with_steps():
     long, longer = (small_config(grid=grid, dt=0.05, t_end=t) for t in (50.0, 100.0))
     block, terms = stepper_mod._memory_blocks(longer)
     assert terms > 0 and block == stepper_mod._BLOCK
-    # twice the steps add a few hundred bytes of records per node and one
-    # dyadic panel of 7 exponentials (a history row and two weight columns
-    # each), not 1000 sample rows
+    # twice the steps add a few hundred bytes of records per node and the
+    # exponentials of one more ln 2 of rates, ceil(ln 2 / h) + 1 at the
+    # trapezoid step h (a history row and two weight columns each), not
+    # 1000 sample rows
     grown = memory_estimate(longer) - memory_estimate(long)
-    panel = 7 * (grid.points_per_dim + 2 * (block + 1)) * 8
-    assert grown <= (longer.n_steps - long.n_steps) * 400 + panel
+    added = math.ceil(math.log(2.0) / SOE_STEP) + 1
+    rows = added * (grid.points_per_dim + 2 * (block + 1)) * 8
+    assert grown <= (longer.n_steps - long.n_steps) * 400 + rows
 
 
 def test_run_refuses_a_run_larger_than_physical_memory():
