@@ -157,7 +157,9 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
     else:
         points = _GRID_DEFAULTS[n]
     try:
-        grid = spectral.SpatialGrid(n, half_length, points)
+        # the preset data are radial, so 2-D and 3-D runs keep the orthant
+        # of the even grid; 1-D gains nothing from it
+        grid = spectral.SpatialGrid(n, half_length, points, even=n > 1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -306,10 +308,10 @@ class _RunRows:
         self.stride = 1 if full_resolution else max(1, math.ceil(nodes / MAX_TIMESERIES_ROWS))
         self.delta = delta
         self.exterior: dict[int, float] = {}
-        shape = config.grid.spectrum_shape
-        self._scratch = np.empty(shape, dtype=complex)
+        shape, dtype = config.grid.spectrum_shape, config.grid.spectrum_dtype
+        self._scratch = np.empty(shape, dtype=dtype)
         self._pending = None
-        self._pending_uh = np.empty(shape, dtype=complex) if self.stride > 1 else None
+        self._pending_uh = np.empty(shape, dtype=dtype) if self.stride > 1 else None
 
     def _exterior(self, state, uh) -> float:
         return diagnostics.exterior_energy(state, self.delta, uh, self._scratch).value

@@ -102,10 +102,10 @@ def exterior_energy(
     At t = 0 the restriction radius is zero, so the value covers (essentially)
     the full domain.  An empty discrete region yields value 0 with a flag.
     ``spectrum``, when given, is u's spectrum already in hand (a stepping
-    loop has it) and saves the forward FFT.  ``out``, a spectrum-shaped
-    complex scratch array (a new one when not given), takes the gradient's
-    symbol products and then u_t^2; the density is summed in place in the
-    gradient's first component.
+    loop has it) and saves the forward transform.  ``out``, a scratch array
+    shaped and typed like a spectrum (a new one when not given), takes the
+    gradient's symbol products and then u_t^2; the density is summed in place
+    in the array that holds |grad u|^2.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -114,10 +114,11 @@ def exterior_energy(
     mask = grid.radius > radius
     if not mask.any():
         return ExteriorEnergy(0.0, True)
-    out = np.empty(grid.spectrum_shape, dtype=complex) if out is None else out
+    if out is None:
+        out = np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype)
     density = grid.gradient_squared(state.u, spectrum, out=out)
     np.add(np.square(state.v, out=grid.real_view(out)), density, out=density)
-    value = float(np.sqrt(np.sum(density[mask]) * grid.cell_volume))
+    value = math.sqrt(grid.cell_sum(density, where=mask))
     return ExteriorEnergy(value, False)
 
 
@@ -330,14 +331,10 @@ def gagliardo_ratio(
     inside = grid.radius < cone * (1.0 - 1e-12)
     w = np.zeros(grid.shape)
     w[inside] = psi_radial(grid.radius[inside], t, K)
-    dV = grid.cell_volume
-    num = (np.sum(np.exp(sigma * w * q)[inside] * np.abs(u[inside]) ** q) * dV) ** (
-        1.0 / q
-    )
-    grads = grid.gradient(u)
-    g2 = sum(c**2 for c in grads)
-    grad_l2 = math.sqrt(float(np.sum(g2) * dV))
-    grad_weighted = math.sqrt(float(np.sum((np.exp(2.0 * w) * g2)[inside]) * dV))
+    num = grid.cell_sum(np.exp(sigma * w * q) * np.abs(u) ** q, where=inside) ** (1.0 / q)
+    g2 = grid.gradient_squared(u)
+    grad_l2 = math.sqrt(grid.cell_sum(g2))
+    grad_weighted = math.sqrt(grid.cell_sum(np.exp(2.0 * w) * g2, where=inside))
     if grad_l2 == 0.0 or grad_weighted == 0.0:
         raise ValueError("gradient vanishes; the majorant is undefined")
     denom = (1.0 + t) ** ((1.0 - theta) / 2.0) * grad_l2 ** (
@@ -466,7 +463,7 @@ class WeakPairing:
 
     def __init__(self, params: TestFunctionParams, grid: SpatialGrid):
         self.params = params
-        self.dV = grid.cell_volume
+        self.grid = grid
         self.space_cut = cutoff_profile(grid.radius / params.B) ** params.ell
         self.lap_cut = _radial_laplacian_of_power(grid, params.B, params.ell)
         self.u_cut: list[float] = []
@@ -474,10 +471,10 @@ class WeakPairing:
         self.u_lap: list[float] = []
 
     def __call__(self, node, state, uh, g, forcing) -> None:
-        self.u_cut.append(float(np.sum(state.u * self.space_cut)) * self.dV)
-        self.u_lap.append(float(np.sum(state.u * self.lap_cut)) * self.dV)
-        f_cut = 0.0 if forcing is None else float(np.sum(forcing * self.space_cut)) * self.dV
-        self.f_cut.append(f_cut)
+        cell_sum = self.grid.cell_sum
+        self.u_cut.append(cell_sum(state.u * self.space_cut))
+        self.u_lap.append(cell_sum(state.u * self.lap_cut))
+        self.f_cut.append(0.0 if forcing is None else cell_sum(forcing * self.space_cut))
 
 
 def weak_residual(
@@ -513,7 +510,7 @@ def weak_residual(
 
     tgrid = TimeGrid(dt, n_nodes - 1)
     profiles = time_cutoff_profiles(params, tgrid)
-    dV = pairing.dV
+    cell_sum = pairing.grid.cell_sum
     space_cut = pairing.space_cut
     u_cut = np.array(pairing.u_cut[:n_nodes])
     f_cut = np.array(pairing.f_cut[:n_nodes])
@@ -524,8 +521,8 @@ def weak_residual(
     u1 = history.states[0].v
     lhs = (
         float(np.dot(w, f_cut * profiles.phi))
-        + float(np.sum(u1 * space_cut)) * dV * profiles.phi[0]
-        + float(np.sum(u0 * space_cut)) * dV * (profiles.phi[0] - profiles.dphi[0])
+        + cell_sum(u1 * space_cut) * profiles.phi[0]
+        + cell_sum(u0 * space_cut) * (profiles.phi[0] - profiles.dphi[0])
     )
     rhs = (
         float(np.dot(w, u_cut * profiles.d2phi))

@@ -32,11 +32,21 @@ class SpatialGrid:
 
     Frequencies are xi = (pi / L) * k with integer k, truncated to N modes
     per dimension (real-FFT layout on the last axis).
+
+    ``even=True`` holds fields that are even in every axis (radial ones among
+    them) on the N/2 + 1 points 0 <= x <= L of each axis, 2^dim times fewer
+    than the full grid's, and transforms them by DCT-I: the real spectrum
+    holds the modes k = 0..N/2 of every axis, equal to the full grid's FFT
+    times (-1)^k per axis (the grid origin sits at index N/2), so per-mode
+    symbols act on it as on the full spectrum.  Every sum over cells counts a
+    stored point once for each full-grid point it stands for.
+    ``points_per_dim`` names the full grid either way.
     """
 
     dim: int
     half_length: float
     points_per_dim: int
+    even: bool = False
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -56,22 +66,36 @@ class SpatialGrid:
 
     @property
     def shape(self) -> tuple[int, ...]:
+        if self.even:
+            return (self.points_per_dim // 2 + 1,) * self.dim
         return (self.points_per_dim,) * self.dim
 
     @property
     def spectrum_shape(self) -> tuple[int, ...]:
         """Shape of :meth:`to_spectrum`'s output (the last axis halved)."""
+        if self.even:
+            return self.shape
         return self.shape[:-1] + (self.points_per_dim // 2 + 1,)
+
+    @property
+    def spectrum_dtype(self) -> np.dtype:
+        """Element type of :meth:`to_spectrum`'s output: real on the even grid."""
+        return np.dtype(float if self.even else complex)
 
     def real_view(self, buffer: np.ndarray) -> np.ndarray:
         """A grid-shaped float array over the leading doubles of ``buffer``, a
-        spectrum-shaped complex array, which holds at least as many."""
+        spectrum-shaped array, which holds at least as many."""
         return buffer.view(float).reshape(-1)[: math.prod(self.shape)].reshape(self.shape)
 
     @cached_property
     def axis_coords(self) -> np.ndarray:
         N = self.points_per_dim
-        return -self.half_length + self.dx * np.arange(N)
+        coords = -self.half_length + self.dx * np.arange(N)
+        if self.even:
+            # 0 <= x <= L: the points from the origin at index N/2 on, and
+            # x = L, the mirror of x_0 = -L
+            return np.abs(coords[np.r_[N // 2 : N, 0]])
+        return coords
 
     @cached_property
     def radius(self) -> np.ndarray:
@@ -80,11 +104,29 @@ class SpatialGrid:
         return np.sqrt(sum(a**2 for a in axes))
 
     @cached_property
+    def _mirror_counts(self) -> np.ndarray:
+        """1, 2, ..., 2, 1: how many points or modes of a full axis each of
+        the indices 0..N/2 of a halved axis stands for."""
+        pair = np.full(self.points_per_dim // 2 + 1, 2.0)
+        pair[0] = pair[-1] = 1.0
+        return pair
+
+    @cached_property
+    def cell_weights(self) -> np.ndarray:
+        """Per stored point of the even grid, the number of full-grid points
+        it stands for: 2 per axis whose index lies strictly between 0 and N/2."""
+        counts = np.meshgrid(*([self._mirror_counts] * self.dim), indexing="ij", sparse=True)
+        return math.prod(counts)
+
+    @cached_property
     def xi_axes(self) -> list[np.ndarray]:
-        """Angular frequencies per axis in the rfftn layout (last axis halved)."""
+        """Angular frequencies per axis in the rfftn layout (last axis halved),
+        every axis halved on the even grid."""
         N, d = self.points_per_dim, self.dx
-        full = 2.0 * np.pi * np.fft.fftfreq(N, d=d)
         half = 2.0 * np.pi * np.fft.rfftfreq(N, d=d)
+        if self.even:
+            return [half.copy() for _ in range(self.dim)]
+        full = 2.0 * np.pi * np.fft.fftfreq(N, d=d)
         return [full.copy() for _ in range(self.dim - 1)] + [half]
 
     @cached_property
@@ -95,12 +137,14 @@ class SpatialGrid:
     @cached_property
     def grad_symbols(self) -> list[np.ndarray]:
         """i*xi per axis, with the Nyquist mode zeroed (odd derivative), each
-        shaped to broadcast along its own axis of a spectrum."""
+        shaped to broadcast along its own axis of a spectrum.  On the even
+        grid the symbol is -xi, the derivative of the cosine modes taken as
+        sine modes (see :meth:`to_field`)."""
         out = []
         nyq = np.pi * self.points_per_dim / (2.0 * self.half_length)
         for axis in range(self.dim):
             comp = np.meshgrid(*self.xi_axes, indexing="ij", sparse=True)[axis]
-            sym = 1j * comp
+            sym = -comp if self.even else 1j * comp
             sym[np.isclose(np.abs(comp), nyq)] = 0.0
             out.append(sym)
         return out
@@ -109,29 +153,87 @@ class SpatialGrid:
     def gradient_weights(self) -> np.ndarray:
         """Per-mode w with ||grad u||^2 = sum(w |u_hat|^2), u_hat = to_spectrum(u).
 
-        Parseval for the Nyquist-zeroed symbols of :meth:`gradient`: the
-        unpaired first and last planes of the halved axis count once, the
+        Parseval for the Nyquist-zeroed symbols of :meth:`gradient`: on a
+        halved axis the unpaired first and last planes count once, the
         others twice, and 1/N^dim undoes the unnormalized forward transform.
         """
-        pair = np.full(self.points_per_dim // 2 + 1, 2.0)
-        pair[0] = pair[-1] = 1.0
+        counts = self.cell_weights if self.even else self._mirror_counts
         sym2 = sum(np.abs(sym) ** 2 for sym in self.grad_symbols)
-        return sym2 * pair * (self.cell_volume / self.points_per_dim**self.dim)
+        return sym2 * counts * (self.cell_volume / self.points_per_dim**self.dim)
 
     def to_spectrum(self, field: np.ndarray) -> np.ndarray:
+        if self.even:
+            return scipy.fft.dctn(field, type=1)
         return scipy.fft.rfftn(field)
 
-    def to_field(self, spectrum: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(self.dim)))
+    def to_field(self, spectrum: np.ndarray, odd_axis: int | None = None) -> np.ndarray:
+        """The inverse of :meth:`to_spectrum`.
+
+        ``odd_axis`` names an axis along which the field is odd, as a gradient
+        component is along its own axis.  On the even grid its spectrum then
+        holds the sine modes 1..N/2-1 of that axis (DST-I), and the field
+        comes back at the interior points 0 < x < L of that axis, since it
+        vanishes at both ends; the full grid's spectrum holds every mode
+        either way.
+        """
+        if not self.even:
+            return scipy.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(self.dim)))
+        if odd_axis is None:
+            return scipy.fft.idctn(spectrum, type=1)
+        field = scipy.fft.idst(spectrum, type=1, axis=odd_axis)
+        others = [axis for axis in range(self.dim) if axis != odd_axis]
+        if others:
+            field = scipy.fft.idctn(field, type=1, axes=others, overwrite_x=True)
+        return field
+
+    def cell_sum(self, values: np.ndarray, where: np.ndarray | None = None) -> float:
+        """The integral of the grid-shaped ``values`` over the box: their sum
+        over the cells (those of the boolean ``where`` when given), in grid
+        order, times the cell volume.
+
+        On the even grid each value is first weighted by the number of
+        full-grid cells its point stands for (:attr:`cell_weights`).
+        """
+        if self.even:
+            values = values * self.cell_weights
+        if where is not None:
+            values = values[where]
+        return float(np.sum(values) * self.cell_volume)
 
     def l2_norm(self, field: np.ndarray, out: np.ndarray | None = None) -> float:
         """||field||_2; ``out``, a grid-shaped scratch array, receives field**2."""
-        return float(np.sqrt(np.sum(np.square(field, out=out)) * self.cell_volume))
+        return math.sqrt(self.cell_sum(np.square(field, out=out)))
+
+    def _support(self, axis: int) -> tuple[slice, ...]:
+        """Index of the points and modes that hold the ``axis`` component of
+        a gradient: all of them on the full grid; on the even grid the
+        interior 0 < x < L of that axis, where the odd component is not zero
+        (see :meth:`to_field`)."""
+        return (slice(None),) * axis + (slice(1, -1) if self.even else slice(None),)
+
+    def _component(
+        self, axis: int, spectrum: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The ``axis`` component of the gradient at the points of
+        :meth:`_support`, from the field's spectrum; ``out``, like
+        ``spectrum``, receives the symbol product."""
+        sym = self.grad_symbols[axis]
+        if self.even:
+            support = self._support(axis)
+            sym, spectrum = sym[support], spectrum[support]
+            if out is not None:
+                out = out.reshape(-1)[: spectrum.size].reshape(spectrum.shape)
+        return self.to_field(np.multiply(sym, spectrum, out=out), odd_axis=axis)
 
     def gradient(self, field: np.ndarray) -> list[np.ndarray]:
         """Components of grad(field)."""
         spec = self.to_spectrum(field)
-        return [self.to_field(sym * spec) for sym in self.grad_symbols]
+        components = []
+        for axis in range(self.dim):
+            component = np.zeros(self.shape)
+            component[self._support(axis)] = self._component(axis, spec)
+            components.append(component)
+        return components
 
     def gradient_squared(
         self,
@@ -143,21 +245,21 @@ class SpatialGrid:
         :meth:`gradient` in axis order.
 
         The components are formed one at a time, each freed before the next
-        is made, and the sum is kept in the first.  ``spectrum``, when given,
-        is the field's spectrum already in hand and saves the forward FFT;
-        ``out``, a spectrum-shaped complex scratch array, receives each symbol
-        product in turn.
+        is made, and the sum is kept in the first (in a zeroed array on the
+        even grid, where a component covers only the interior of its axis).
+        ``spectrum``, when given, is the field's spectrum already in hand and
+        saves the forward transform; ``out``, a scratch array shaped and typed
+        like a spectrum, receives each symbol product in turn.
         """
         spec = self.to_spectrum(field) if spectrum is None else spectrum
-
-        def squared(sym: np.ndarray) -> np.ndarray:
-            component = self.to_field(np.multiply(sym, spec, out=out))
-            return np.square(component, out=component)
-
-        first, *others = self.grad_symbols
-        total = squared(first)
-        for sym in others:
-            total += squared(sym)
+        total = np.zeros(self.shape) if self.even else None
+        for axis in range(self.dim):
+            component = self._component(axis, spec, out)
+            np.square(component, out=component)
+            if total is None:
+                total = component
+            else:
+                total[self._support(axis)] += component
         return total
 
     def gradient_l2_squared(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> float:
@@ -166,15 +268,17 @@ class SpatialGrid:
         weighted = np.multiply(self.gradient_weights, spectrum, out=out)
         return float(np.vdot(spectrum, weighted).real)
 
-    def exterior_l2(self, field: np.ndarray, radius: float) -> float:
-        """L2 norm of the field restricted to |x| > radius.
+    def exterior_l2(
+        self, field: np.ndarray, radius: float, out: np.ndarray | None = None
+    ) -> float:
+        """L2 norm of the field restricted to |x| > radius; ``out``, a
+        grid-shaped scratch array, receives field**2.
 
-        The squares of the gathered cells are summed in grid order; a sum
-        without the gather (masked, or over sorted radial shells) adds them in
-        another order and changes the last bits.
+        The squares of the cells outside are gathered and summed in grid
+        order; a sum without the gather (masked, or over sorted radial
+        shells) adds them in another order and changes the last bits.
         """
-        outside = field[self.radius > radius]
-        return float(np.sqrt(np.sum(np.square(outside, out=outside)) * self.cell_volume))
+        return math.sqrt(self.cell_sum(np.square(field, out=out), where=self.radius > radius))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +314,7 @@ class FieldState:
     def energy_l2(self) -> float:
         """|| (u_t, grad u) ||_2, the total-energy norm."""
         g2 = self.grid.gradient_squared(self.u)
-        return float(np.sqrt(np.sum(self.v**2 + g2) * self.grid.cell_volume))
+        return math.sqrt(self.grid.cell_sum(self.v**2 + g2))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +421,8 @@ class StepCoefficients:
         self.matrix = _step_matrix(grid.xi_squared, dt)
         # the spectra rows() writes, allocated once the matrix's temporaries are gone
         self._products = [
-            (np.empty(grid.spectrum_shape, dtype=complex),
-             np.empty(grid.spectrum_shape, dtype=complex))
+            (np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype),
+             np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype))
             for _ in range(2)
         ]
 

@@ -16,15 +16,19 @@ direct sum.
 
 A step applies one precomputed per-mode propagator
 (:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
-start-forcing products are formed once for both passes, and costs six FFTs
-in any dimension: the known part of the memory sum, the predicted u and its
-|u|^p, the new u and v, and the new |u|^p sample.  ||grad u||_2 in the
-per-step records is taken from u's spectrum by Parseval.  Every product of a
-step is written into buffers allocated once per run (u's, v's and the
-forcing's spectra, the propagator's row products, the known part and one
-scratch spectrum), so a step makes no new grid-sized array besides the FFTs'
-outputs and the exterior-mass norm's gather of the cells outside the
-support ball.
+start-forcing products are formed once for both passes, and costs six
+transforms in any dimension (FFTs on the full grid, DCT-Is on the even
+one): the known part of the memory sum, the predicted u and its |u|^p, the
+new u and v, and the new |u|^p sample; a linear step costs two, the new u
+and v.  ||grad u||_2 in the per-step records is taken from u's spectrum by
+Parseval, so the only other transforms are those of observers (the CLI's
+run table takes one per gradient component for each row's exterior
+energy).  Every product of a step is written into buffers allocated once
+per run (u's, v's and the forcing's spectra, the propagator's row
+products, the known part and one scratch spectrum), so a step makes no new
+grid-sized array besides the transforms' outputs, the exterior-mass norm's
+gather of the cells outside the support ball and, on the even grid, the
+weighted copy each sum over cells makes.
 
 :func:`run` keeps per-node norms only.  Whatever else a consumer needs from
 the nodes (CSV rows, weak-form pairings) it accumulates as an observer that
@@ -350,8 +354,9 @@ def detect_blowup(record: StepRecord, initial: StepRecord, threshold: float) -> 
 
 
 class _Workspace:
-    """Scratch arrays of one run, reused by every step: ``spectrum`` complex
-    like a spectrum, ``field`` real on the grid and ``flags`` boolean on it.
+    """Scratch arrays of one run, reused by every step: ``spectrum`` shaped
+    and typed like a spectrum, ``field`` real on the grid and ``flags``
+    boolean on it.
 
     ``field`` is the leading part of ``spectrum``'s memory (a spectrum holds
     at least as many doubles as a field), so a caller uses one of the two at
@@ -359,7 +364,7 @@ class _Workspace:
     """
 
     def __init__(self, grid: SpatialGrid):
-        self.spectrum = np.empty(grid.spectrum_shape, dtype=complex)
+        self.spectrum = np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype)
         self.field = grid.real_view(self.spectrum)
         self.flags = np.empty(grid.shape, dtype=bool)
 
@@ -383,7 +388,9 @@ def _make_record(
         h1_u=math.sqrt(l2_u**2 + grad2),
         l2_du=math.sqrt(l2_ut2 + grad2),
         forcing_l2=forcing_l2,
-        exterior_mass=grid.exterior_l2(state.u, state.time + config.support_radius),
+        exterior_mass=grid.exterior_l2(
+            state.u, state.time + config.support_radius, out=work.field
+        ),
     )
 
 
@@ -415,14 +422,20 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
 
 
 #: Grid-sized arrays a run holds at its peak besides the memory sum's
-#: arrays, with the nonlinearity on or off: the step's reused buffers (u's,
-#: v's and the forcing's spectra, the propagator's four row products, the
-#: known part and one scratch spectrum), the kept states, the step matrix,
-#: the grid's cached geometry and the few new arrays of a step (its FFT
-#: outputs).  tracemalloc puts them at 22-24 on 1-, 2- and 3-D grids of 1024
-#: to 32768 points, direct and blocked; tests/test_stepper.py checks that the
-#: estimate bounds the peak.
-_WORKING_ARRAYS = 24
+#: arrays, with the nonlinearity on or off, in two kinds.  Fields and
+#: spectra: the step's reused buffers (u's, v's and the forcing's spectra,
+#: the propagator's four row products, the known part and one scratch
+#: spectrum), the kept states, the grid's cached geometry and the few new
+#: arrays of a step (its transforms' outputs).  Real per-mode arrays: the
+#: step matrix and the temporaries that build it, |xi|^2 and the Parseval
+#: weights, half a field each on the full grid (its last axis is halved)
+#: and a whole one on the even grid.  tracemalloc puts the two kinds at
+#: 22-24 fields on full 1-, 2- and 3-D grids of 1024 to 32768 points and at
+#: 28-38 on even 2- and 3-D grids of 1089 to 35937 points, direct and
+#: blocked.  The estimate counts 10 of the first kind and 29 of the second;
+#: tests/test_stepper.py checks that it bounds the peak.
+_WORKING_ARRAYS = 10
+_MODE_ARRAYS = 29
 #: bytes per node outside the arrays (a StepRecord, product weights) and
 #: bytes independent of the grid and the step count, mostly numpy's ufunc
 #: buffers of 8192 elements: 128 KiB for a complex product of a real
@@ -434,14 +447,16 @@ _FIXED_BYTES = 176 * 1024
 def memory_estimate(config: ScenarioConfig) -> int:
     """Bytes a run of ``config`` needs at its peak, an upper bound.
 
-    A run of M <= B steps keeps every |u|^p sample, (M + 1) * N doubles.  A
-    longer one keeps one block of samples, the Q exponential histories and
-    the block's history part, (Q + 2B + 1) * N doubles, plus two Q x (B + 1)
-    weight matrices.  Everything else is O(N) working arrays plus a few
-    hundred bytes of records per node.  What observers keep is their own and
-    not included.
+    A run of M <= B steps keeps every |u|^p sample, (M + 1) * N doubles, N
+    the points the grid stores.  A longer one keeps one block of samples,
+    the Q exponential histories and the block's history part, (Q + 2B + 1) *
+    N doubles, plus two Q x (B + 1) weight matrices.  Everything else is
+    O(N) working arrays plus a few hundred bytes of records per node.  What
+    observers keep is their own and not included.
     """
-    points = config.grid.points_per_dim**config.dim
+    grid = config.grid
+    points = math.prod(grid.shape)
+    modes = math.prod(grid.spectrum_shape)
     nodes = config.n_steps + 1
     nonlinear = config.nonlinearity_enabled
     memory = 0
@@ -450,7 +465,8 @@ def memory_estimate(config: ScenarioConfig) -> int:
         memory = (block + 1) * points * 8
         if terms:
             memory += (terms + block) * points * 8 + 2 * terms * (block + 1) * 8
-    working = _WORKING_ARRAYS * points * 8
+    array = max(points * 8, modes * grid.spectrum_dtype.itemsize)
+    working = _WORKING_ARRAYS * array + _MODE_ARRAYS * modes * 8
     return memory + working + nodes * _NODE_BYTES + _FIXED_BYTES
 
 

@@ -1,0 +1,211 @@
+"""The even grid against the full grid it stands for.
+
+A field even in every axis lives on the orthant 0 <= x <= L of the even grid
+(N/2 + 1 points per axis).  Reflected to the full grid, its index j holds the
+orthant's index |j - N/2|.  Every quantity below must equal its value on the
+reflected field up to round-off: the full-grid path is the oracle.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from memwave import cli, diagnostics, stepper
+from memwave.frac_ops import FracOrder
+from memwave.spectral import FieldState, SpatialGrid
+from memwave.stepper import Phase, ScenarioConfig
+
+
+def full_of(grid: SpatialGrid) -> SpatialGrid:
+    return SpatialGrid(grid.dim, grid.half_length, grid.points_per_dim)
+
+
+def reflect(grid: SpatialGrid, field: np.ndarray) -> np.ndarray:
+    """The even grid's ``field`` on every point of the full grid."""
+    N = grid.points_per_dim
+    index = np.abs(np.arange(N) - N // 2)
+    return field[np.ix_(*[index] * grid.dim)]
+
+
+def even_field(grid: SpatialGrid, seed: int) -> np.ndarray:
+    """A smooth field, even in every axis but not radial, supported well
+    inside the box."""
+    x = np.meshgrid(*[grid.axis_coords] * grid.dim, indexing="ij", sparse=True)
+    r2 = sum(a**2 for a in x)
+    angular = 1.0 + 0.3 * math.prod(np.cos((seed + k + 1) * a) for k, a in enumerate(x))
+    return np.exp(-r2 / 2.0) * angular
+
+
+@pytest.fixture(params=[(2, 32), (3, 16)], ids=["2-D", "3-D"])
+def grids(request):
+    dim, points = request.param
+    even = SpatialGrid(dim, 8.0, points, even=True)
+    return even, full_of(even)
+
+
+def close(got, want, rel=1e-12):
+    return abs(got - want) <= rel * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# grid
+# ---------------------------------------------------------------------------
+
+def test_even_grid_holds_the_orthant(grids):
+    even, full = grids
+    assert even.shape == (full.points_per_dim // 2 + 1,) * even.dim
+    assert even.spectrum_shape == even.shape
+    assert even.spectrum_dtype == np.dtype(float)
+    assert full.spectrum_dtype == np.dtype(complex)
+    assert even.axis_coords[0] == 0.0 and even.axis_coords[-1] == even.half_length
+    # the orthant's radii are the full grid's, bit for bit
+    assert reflect(even, even.radius).tobytes() == full.radius.tobytes()
+    assert float(np.sum(even.cell_weights)) == full.points_per_dim**even.dim
+
+
+def test_spectrum_is_the_full_spectrum_up_to_the_origin_sign(grids):
+    even, full = grids
+    u = even_field(even, 0)
+    got = even.to_spectrum(u)
+    want = full.to_spectrum(reflect(even, u))
+    k = np.arange(even.points_per_dim // 2 + 1)
+    sign = math.prod(np.meshgrid(*[(-1.0) ** k] * even.dim, indexing="ij", sparse=True))
+    head = want[tuple(slice(0, n) for n in even.spectrum_shape)]
+    scale = np.abs(want).max()
+    assert np.abs(head.real - sign * got).max() <= 1e-14 * scale
+    assert np.abs(head.imag).max() <= 1e-13 * scale
+    assert np.array_equal(even.xi_squared, full.xi_squared[tuple(slice(0, n) for n in even.shape)])
+    assert np.abs(even.to_field(got) - u).max() <= 1e-15 * np.abs(u).max()
+
+
+def test_gradient_is_the_full_gradient(grids):
+    even, full = grids
+    u = even_field(even, 1)
+    scale = max(np.abs(c).max() for c in full.gradient(reflect(even, u)))
+    for got, want in zip(even.gradient(u), full.gradient(reflect(even, u))):
+        assert np.abs(reflect(even, np.abs(got)) - np.abs(want)).max() <= 1e-13 * scale
+    g2 = even.gradient_squared(u)
+    assert np.abs(reflect(even, g2) - full.gradient_squared(reflect(even, u))).max() <= (
+        1e-13 * scale**2
+    )
+    # Parseval on the mirrored modes
+    want = full.gradient_l2_squared(full.to_spectrum(reflect(even, u)))
+    assert close(even.gradient_l2_squared(even.to_spectrum(u)), want)
+    assert close(even.cell_sum(g2), want)
+
+
+# ---------------------------------------------------------------------------
+# every sum over cells, on the even grid and on the reflected full grid
+# ---------------------------------------------------------------------------
+
+def _pair_of_states(even, full, t):
+    u, v = even_field(even, 2), even_field(even, 3)
+    return (
+        FieldState(even, u, v, t),
+        FieldState(full, reflect(even, u), reflect(even, v), t),
+    )
+
+
+def test_norms_match_the_reflected_full_grid(grids):
+    even, full = grids
+    s_even, s_full = _pair_of_states(even, full, 1.5)
+    assert close(even.l2_norm(s_even.u), full.l2_norm(s_full.u))
+    for radius in (0.0, 1.0, 2.5):
+        assert close(even.exterior_l2(s_even.u, radius), full.exterior_l2(s_full.u, radius))
+    assert close(s_even.energy_l2(), s_full.energy_l2())
+    got = diagnostics.exterior_energy(s_even, 0.1)
+    want = diagnostics.exterior_energy(s_full, 0.1)
+    assert not got.region_empty and close(got.value, want.value)
+
+
+def test_weak_pairing_matches_the_reflected_full_grid(grids):
+    even, full = grids
+    s_even, s_full = _pair_of_states(even, full, 1.5)
+    params = diagnostics.TestFunctionParams(ell=8, eta=7.0, B=2.0, T=4.0, alpha=FracOrder(0.1))
+    pairings = diagnostics.WeakPairing(params, even), diagnostics.WeakPairing(params, full)
+    for pairing, state in zip(pairings, (s_even, s_full)):
+        pairing(0, state, None, None, state.v)
+    got, want = pairings
+    for name in ("u_cut", "f_cut", "u_lap"):
+        assert close(getattr(got, name)[0], getattr(want, name)[0])
+
+
+@pytest.mark.parametrize("q,sigma", [(2.0, 1.0), (4.0, 0.5)])
+def test_gagliardo_ratio_matches_the_reflected_full_grid(grids, q, sigma):
+    even, full = grids
+    u = even_field(even, 4)
+    got = diagnostics.gagliardo_ratio(u, even, 1.0, q, sigma, 3.0)
+    want = diagnostics.gagliardo_ratio(reflect(even, u), full, 1.0, q, sigma, 3.0)
+    assert close(got, want)
+
+
+# ---------------------------------------------------------------------------
+# runs: the run table, the final state and the blow-up time
+# ---------------------------------------------------------------------------
+
+def _table(config):
+    observer = cli._RunRows(config, 0.1, full_resolution=True)
+    history = stepper.run(config, observers=(observer,))
+    return history, observer.rows(history)
+
+
+def _run_pair(grid, **overrides):
+    """The even run and the full-grid run of one scenario."""
+    base = dict(gamma=0.9, dt=0.05, **overrides)
+    return (
+        _table(ScenarioConfig(grid=grid, **base)),
+        _table(ScenarioConfig(grid=full_of(grid), **base)),
+    )
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+@pytest.mark.parametrize(
+    "dim,points,half_length,support_radius,p,amplitude,t_end",
+    [
+        # 30 steps, one block (the direct sum), and 60 steps in blocks
+        pytest.param(2, 32, 8.0, 3.0, 2.5, 1.0, 1.5, id="2-D-direct"),
+        pytest.param(2, 32, 8.0, 3.0, 2.5, 1.0, 3.0, id="2-D-blocked"),
+        pytest.param(3, 16, 6.0, 2.0, 2.5, 1.0, 1.5, id="3-D-direct"),
+        pytest.param(3, 16, 6.0, 2.0, 2.5, 1.0, 2.5, id="3-D-blocked"),
+    ],
+)
+def test_even_run_matches_the_full_grid_run(
+    dim, points, half_length, support_radius, p, amplitude, t_end, nonlinear
+):
+    grid = SpatialGrid(dim, half_length, points, even=True)
+    (h_even, rows_even), (h_full, rows_full) = _run_pair(
+        grid, p=p, support_radius=support_radius, amplitude=amplitude,
+        t_end=t_end, nonlinearity_enabled=nonlinear,
+    )
+    config = h_even.config
+    assert (stepper._memory_blocks(config)[1] > 0) == (config.n_steps > stepper._BLOCK)
+    assert h_even.status == h_full.status
+    assert h_full.status.phase is Phase.COMPLETED
+    assert len(rows_even) == len(rows_full) == config.n_steps + 1
+    # exterior_mass too, also where it is exactly 0 (at t = 0 the data
+    # vanish outside the support on both grids)
+    for got, want in zip(rows_even, rows_full):
+        for column in cli.RUN_COLUMNS:
+            assert close(got[column], want[column]), column
+    final_even, final_full = h_even.states[-1], h_full.states[-1]
+    for name in ("u", "v"):
+        want = getattr(final_full, name)
+        got = reflect(grid, getattr(final_even, name))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_even_blow_up_keeps_its_detection_time():
+    grid = SpatialGrid(2, 8.0, 32, even=True)
+    (h_even, _), (h_full, _) = _run_pair(
+        grid, p=1.5, support_radius=3.0, amplitude=2.0, t_end=25.0
+    )
+    assert h_full.status.phase is Phase.BLOWUP_DETECTED
+    assert h_even.status == h_full.status  # the same phase and the exact t
+
+
+def test_cli_takes_the_even_grid_for_two_and_three_dimensions():
+    for n, even in ((1, False), (2, True), (3, True)):
+        grid = cli.parse_config(f"n = {n}\npoints_per_dim = 16\n").scenario.grid
+        assert grid.even is even
+        assert grid.points_per_dim == 16

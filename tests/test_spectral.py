@@ -59,14 +59,24 @@ def test_grid_spacing_and_volume():
     assert grid.xi_squared.shape == (16, 9)
 
 
-@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
-def test_gradient_squared_is_the_sum_of_squared_components(dim, points):
+@pytest.mark.parametrize(
+    "dim,points,even",
+    [
+        pytest.param(1, 64, False, id="1-64"),
+        pytest.param(2, 16, False, id="2-16"),
+        pytest.param(3, 8, False, id="3-8"),
+        pytest.param(1, 64, True, id="1-64-even"),
+        pytest.param(2, 16, True, id="2-16-even"),
+        pytest.param(3, 8, True, id="3-8-even"),
+    ],
+)
+def test_gradient_squared_is_the_sum_of_squared_components(dim, points, even):
     # one component at a time, from the spectrum in hand or not, with or
     # without a scratch array: bit for bit the squares of gradient() summed
-    grid = SpatialGrid(dim, 8.0, points)
+    grid = SpatialGrid(dim, 8.0, points, even=even)
     u = np.random.default_rng(dim).standard_normal(grid.shape)
     want = sum(c**2 for c in grid.gradient(u))
-    scratch = np.empty(grid.spectrum_shape, dtype=complex)
+    scratch = np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype)
     for got in (
         grid.gradient_squared(u),
         grid.gradient_squared(u, grid.to_spectrum(u), out=scratch),

@@ -810,21 +810,26 @@ def test_overflow_after_growth_is_a_blow_up():
 
 @pytest.mark.parametrize("nonlinear", [True, False])
 @pytest.mark.parametrize(
-    "dim,points,t_end",
+    "dim,points,t_end,even",
     [
         # 40 steps, more than one block
-        pytest.param(1, 1024, 2.0, id="1-1024"),
-        pytest.param(2, 64, 2.0, id="2-64"),
-        pytest.param(3, 32, 2.0, id="3-32"),
+        pytest.param(1, 1024, 2.0, False, id="1-1024"),
+        pytest.param(2, 64, 2.0, False, id="2-64"),
+        pytest.param(3, 32, 2.0, False, id="3-32"),
         # 400 steps: a nonlinear run folds its block twelve times
-        pytest.param(1, 1024, 20.0, id="1-1024-blocked"),
+        pytest.param(1, 1024, 20.0, False, id="1-1024-blocked"),
+        # the even grids' orthants: 30 steps (one block, the direct sum) and 40
+        pytest.param(2, 128, 1.5, True, id="2-128-even-direct"),
+        pytest.param(2, 128, 2.0, True, id="2-128-even"),
+        pytest.param(3, 32, 1.5, True, id="3-32-even-direct"),
+        pytest.param(3, 64, 2.0, True, id="3-64-even"),
     ],
 )
-def test_memory_estimate_bounds_traced_peak(dim, points, t_end, nonlinear):
+def test_memory_estimate_bounds_traced_peak(dim, points, t_end, even, nonlinear):
     tracemalloc.start()
     try:
         # a fresh grid, so its cached geometry is allocated inside the run
-        grid = SpatialGrid(dim, 16.0, points)
+        grid = SpatialGrid(dim, 16.0, points, even=even)
         config = small_config(
             grid=grid, p=4.5, amplitude=1e-2, dt=0.05, t_end=t_end,
             nonlinearity_enabled=nonlinear,

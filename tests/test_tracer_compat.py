@@ -45,8 +45,11 @@ def test_tracer_layer_metrics_complete(tmp_path):
     assert all(math.isfinite(value) for value in metrics.values())
     # default dt = min(0.25, dx/2) = 0.25 over t_end = 2: 8 steps, 9 nodes
     assert metrics["stepper.steps"] == 8
-    # the history keeps the initial and the final state, u and v each
-    assert metrics["stepper.history.bytes"] == 2 * 2 * 16**2 * 8
+    # the history keeps the initial and the final state, u and v each, on
+    # the 9^2 points of the even grid's orthant
+    assert metrics["stepper.history.bytes"] == 2 * 2 * 9**2 * 8
+    # the tracer still sees the even grid's transforms
+    assert metrics["spectral.fft.calls"] > 0
     assert metrics["diagnostics.exterior_energy.calls"] == 9
     assert metrics["stepper.memory.known_part.calls"] == 8
     assert metrics["cli.report.bytes"] > 0
