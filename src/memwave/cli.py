@@ -295,10 +295,9 @@ class _RunRows:
     Rows sit at multiples of a stride that comes from the planned step count
     M (1 with ``full_resolution``), and the node a run stops at always gets a
     row.  Each row's exterior energy is taken while the node streams past,
-    from the spectrum the stepping loop already has; the latest node off the
-    stride is held until the next node arrives, in case the run stops there.
-    Its spectrum is copied, since the loop rewrites its own in the next step
-    even when that step ends the run.
+    from the spectrum the stepping loop already has; the node a run stops at,
+    when it lies off the stride, is the history's final state, whose exterior
+    energy :meth:`rows` takes with one forward transform.
     """
 
     def __init__(
@@ -308,28 +307,20 @@ class _RunRows:
         self.stride = 1 if full_resolution else max(1, math.ceil(nodes / MAX_TIMESERIES_ROWS))
         self.delta = delta
         self.exterior: dict[int, float] = {}
-        shape, dtype = config.grid.spectrum_shape, config.grid.spectrum_dtype
-        self._scratch = np.empty(shape, dtype=dtype)
-        self._pending = None
-        self._pending_uh = np.empty(shape, dtype=dtype) if self.stride > 1 else None
+        self._scratch = np.empty(config.grid.spectrum_shape, dtype=config.grid.spectrum_dtype)
 
-    def _exterior(self, state, uh) -> float:
+    def _exterior(self, state, uh=None) -> float:
         return diagnostics.exterior_energy(state, self.delta, uh, self._scratch).value
 
     def __call__(self, node, state, uh, g, forcing) -> None:
         if node % self.stride == 0:
             self.exterior[node] = self._exterior(state, uh)
-            self._pending = None
-        else:
-            np.copyto(self._pending_uh, uh)
-            self._pending = (node, state)
 
     def rows(self, history: stepper.SolutionHistory) -> list[dict]:
         """The table's rows, from the run's records and the observed nodes."""
-        if self._pending is not None:
-            node, state = self._pending
-            self.exterior[node] = self._exterior(state, self._pending_uh)
-            self._pending = None
+        last = len(history.records) - 1
+        if last not in self.exterior:
+            self.exterior[last] = self._exterior(history.states[-1])
         config = history.config
         rows = []
         for node, ext in self.exterior.items():

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .frac_ops import FracOrder, TimeGrid, TimeSeries, rl_deriv_right, trapezoid_weights
 from .spectral import FieldState, SpatialGrid
@@ -181,6 +180,10 @@ def _singular_convolution(theta: float, a: float, b: float, t: float) -> float:
     u = (t - tau)^(1-theta); for large t the smooth remainder is integrated
     directly on [0, t-1].
     """
+    # imported here, the one caller of scipy.integrate: at module level it
+    # would load scipy.linalg and its OpenBLAS into every simulate and sweep
+    from scipy.integrate import quad
+
     if theta == 0.0:
         val, _ = quad(
             lambda tau: (1.0 + t - tau) ** (-a) * (1.0 + tau) ** (-b),

@@ -89,13 +89,11 @@ class SpatialGrid:
 
     @cached_property
     def axis_coords(self) -> np.ndarray:
+        """x_j = (j - N/2) dx on the full grid, k dx for k = 0..N/2 on the even
+        grid: mirror-symmetric about the origin bit for bit, so both grids
+        put the same points on every sphere |x| = r."""
         N = self.points_per_dim
-        coords = -self.half_length + self.dx * np.arange(N)
-        if self.even:
-            # 0 <= x <= L: the points from the origin at index N/2 on, and
-            # x = L, the mirror of x_0 = -L
-            return np.abs(coords[np.r_[N // 2 : N, 0]])
-        return coords
+        return (np.arange(N // 2 + 1) if self.even else np.arange(N) - N // 2) * self.dx
 
     @cached_property
     def radius(self) -> np.ndarray:
@@ -170,20 +168,23 @@ class SpatialGrid:
         """The inverse of :meth:`to_spectrum`.
 
         ``odd_axis`` names an axis along which the field is odd, as a gradient
-        component is along its own axis.  On the even grid its spectrum then
-        holds the sine modes 1..N/2-1 of that axis (DST-I), and the field
-        comes back at the interior points 0 < x < L of that axis, since it
-        vanishes at both ends; the full grid's spectrum holds every mode
+        component is along its own axis.  On the even grid the interior modes
+        1..N/2-1 of that axis are then sine modes (DST-I), and the field comes
+        back grid-shaped with zeros at both ends of that axis, x = 0 and x = L,
+        where an odd field vanishes; the full grid's spectrum holds every mode
         either way.
         """
         if not self.even:
             return scipy.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(self.dim)))
         if odd_axis is None:
             return scipy.fft.idctn(spectrum, type=1)
-        field = scipy.fft.idst(spectrum, type=1, axis=odd_axis)
+        interior = (slice(None),) * odd_axis + (slice(1, -1),)
         others = [axis for axis in range(self.dim) if axis != odd_axis]
-        if others:
-            field = scipy.fft.idctn(field, type=1, axes=others, overwrite_x=True)
+        field = np.zeros(self.shape)
+        field[interior] = scipy.fft.idctn(
+            scipy.fft.idst(spectrum[interior], type=1, axis=odd_axis),
+            type=1, axes=others, overwrite_x=True,
+        )
         return field
 
     def cell_sum(self, values: np.ndarray, where: np.ndarray | None = None) -> float:
@@ -204,36 +205,12 @@ class SpatialGrid:
         """||field||_2; ``out``, a grid-shaped scratch array, receives field**2."""
         return math.sqrt(self.cell_sum(np.square(field, out=out)))
 
-    def _support(self, axis: int) -> tuple[slice, ...]:
-        """Index of the points and modes that hold the ``axis`` component of
-        a gradient: all of them on the full grid; on the even grid the
-        interior 0 < x < L of that axis, where the odd component is not zero
-        (see :meth:`to_field`)."""
-        return (slice(None),) * axis + (slice(1, -1) if self.even else slice(None),)
-
-    def _component(
-        self, axis: int, spectrum: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The ``axis`` component of the gradient at the points of
-        :meth:`_support`, from the field's spectrum; ``out``, like
-        ``spectrum``, receives the symbol product."""
-        sym = self.grad_symbols[axis]
-        if self.even:
-            support = self._support(axis)
-            sym, spectrum = sym[support], spectrum[support]
-            if out is not None:
-                out = out.reshape(-1)[: spectrum.size].reshape(spectrum.shape)
-        return self.to_field(np.multiply(sym, spectrum, out=out), odd_axis=axis)
-
     def gradient(self, field: np.ndarray) -> list[np.ndarray]:
         """Components of grad(field)."""
         spec = self.to_spectrum(field)
-        components = []
-        for axis in range(self.dim):
-            component = np.zeros(self.shape)
-            component[self._support(axis)] = self._component(axis, spec)
-            components.append(component)
-        return components
+        return [
+            self.to_field(sym * spec, odd_axis=axis) for axis, sym in enumerate(self.grad_symbols)
+        ]
 
     def gradient_squared(
         self,
@@ -245,21 +222,17 @@ class SpatialGrid:
         :meth:`gradient` in axis order.
 
         The components are formed one at a time, each freed before the next
-        is made, and the sum is kept in the first (in a zeroed array on the
-        even grid, where a component covers only the interior of its axis).
-        ``spectrum``, when given, is the field's spectrum already in hand and
-        saves the forward transform; ``out``, a scratch array shaped and typed
-        like a spectrum, receives each symbol product in turn.
+        is made, and the sum is kept in the first.  ``spectrum``, when given,
+        is the field's spectrum already in hand and saves the forward
+        transform; ``out``, a scratch array shaped and typed like a spectrum,
+        receives each symbol product in turn.
         """
         spec = self.to_spectrum(field) if spectrum is None else spectrum
-        total = np.zeros(self.shape) if self.even else None
-        for axis in range(self.dim):
-            component = self._component(axis, spec, out)
+        total = None
+        for axis, sym in enumerate(self.grad_symbols):
+            component = self.to_field(np.multiply(sym, spec, out=out), odd_axis=axis)
             np.square(component, out=component)
-            if total is None:
-                total = component
-            else:
-                total[self._support(axis)] += component
+            total = component if total is None else np.add(total, component, out=total)
         return total
 
     def gradient_l2_squared(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> float:

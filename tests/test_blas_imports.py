@@ -10,6 +10,8 @@ fold in numpy's ``matmul`` it took 1.50 s, and sweep_2d went from 6.88 to
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,29 @@ def test_step_loop_imports_nothing_from_scipy_linalg(module):
 def test_guard_sees_every_import_form(source, found):
     names = _imported_modules(ast.parse(source))
     assert any(_from_scipy_linalg(n) for n in names) is found
+
+
+SIMULATE = """
+import sys, tempfile
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+from memwave import cli
+
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "scenario.cfg"
+    config.write_text("n = 1\\npoints_per_dim = 64\\nt_end = 1\\n")
+    assert cli.main(["simulate", "--config", str(config), "--out", tmp]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.linalg"))))
+"""
+
+
+def test_simulate_loads_neither_scipy_integrate_nor_scipy_linalg():
+    # scipy.integrate imports scipy.linalg, whose OpenBLAS a simulate or a
+    # sweep would load next to numpy's; only verify's integrals need it
+    src = Path(memwave.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMULATE, str(src)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
