@@ -157,9 +157,9 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
     else:
         points = _GRID_DEFAULTS[n]
     try:
-        # the preset data are radial, so 2-D and 3-D runs keep the orthant
-        # of the even grid; 1-D gains nothing from it
-        grid = spectral.SpatialGrid(n, half_length, points, even=n > 1)
+        # the preset data are radial, so even in every axis: every run keeps
+        # the orthant of the even grid
+        grid = spectral.SpatialGrid(n, half_length, points, even=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -201,6 +201,9 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
         raise ConfigError("sweep requires at least one non-empty sweep axis")
 
     gamma_grid = _parse_float_list(values["gamma_grid"], "gamma_grid")
+    for gamma in gamma_grid:
+        if not 0.0 < gamma < 1.0:
+            raise ConfigError(f"key 'gamma_grid': gamma must lie in (0, 1), got {gamma}")
     if not gamma_grid:
         gamma_grid = (0.55, 0.6, 0.7, 0.8, 0.9, 0.99)
 
@@ -376,6 +379,12 @@ def _scenario_row(label: str, scenario: stepper.ScenarioConfig) -> dict:
     }
 
 
+def _add_flag(row: dict, flag: str) -> None:
+    """Add ``flag`` to the row's ``flag`` cell: flags join with ``;`` in the
+    order they are set, so none overwrites another."""
+    row["flag"] = f"{row['flag']};{flag}" if row["flag"] else flag
+
+
 def _summarize_run(
     label: str, scenario: stepper.ScenarioConfig, history: stepper.SolutionHistory
 ) -> dict:
@@ -395,7 +404,7 @@ def _summarize_run(
             row["decay_exponent"] = fit.exponent
             row["decay_r2"] = fit.r_squared
         except ValueError:
-            row["flag"] = "decay_fit_unavailable"
+            _add_flag(row, "decay_fit_unavailable")
     return row
 
 
@@ -544,7 +553,7 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
         if isinstance(outcome, Exception):
             summary = _scenario_row(label, scenario)
             summary["status"] = "error"
-            summary["flag"] = type(outcome).__name__
+            _add_flag(summary, type(outcome).__name__)
             report.notes.append(f"{label} failed: {type(outcome).__name__}: {outcome}")
             rows = None
         else:
@@ -552,7 +561,7 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
             summary = _summarize_run(label, scenario, history)
             completed = history.status.phase is stepper.Phase.COMPLETED
             if verdict.tag == "BlowUpPositiveData" and completed:
-                summary["flag"] = "horizon_too_short"
+                _add_flag(summary, "horizon_too_short")
         summary["verdict"] = verdict.tag
         report.summary_rows.append(summary)
         if rows is not None:
@@ -733,7 +742,7 @@ def _weak_refinement_pair() -> float:
     """Residual ratio of a small global-regime run under (dt, dx) halving."""
     residuals = []
     for points, n_steps in ((256, 128), (512, 256)):
-        grid = spectral.SpatialGrid(1, 16.0, points)
+        grid = spectral.SpatialGrid(1, 16.0, points, even=True)
         scenario = stepper.ScenarioConfig(
             grid=grid,
             gamma=0.9,

@@ -223,6 +223,14 @@ def test_sweep_axis_out_of_range_exits_two_before_any_entry(tmp_path):
     assert not out.exists()
 
 
+def test_gamma_grid_out_of_range_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="gamma_grid"):
+        parse_config("gamma_grid = 0.5, 1.5\n", "exponents")
+    code, out = run_cli(tmp_path, "n = 1\ngamma_grid = 0.5, 1.5\n", "exponents")
+    assert code == 2
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code(tmp_path):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
@@ -279,6 +287,27 @@ def test_sweep_regime_map_and_coherence(tmp_path):
     for row in rows:
         if row["verdict"] == "BlowUpPositiveData" and row["status"] == "completed":
             assert row["flag"] == "horizon_too_short"
+
+
+def test_sweep_row_keeps_every_flag_in_the_order_set(tmp_path):
+    # a one-second horizon: the fit window holds too few samples for a decay
+    # fit, and a blow-up verdict that completed is too short a horizon
+    config = """
+n = 1
+p = 2.0
+amplitude = 0.01
+points_per_dim = 256
+dt = 0.25
+t_end = 1.0
+sweep_p = 2.0
+"""
+    code, out = run_cli(tmp_path, config, "sweep")
+    assert code == 0
+    summary = read_csv(out / "summary.csv")[0]
+    regime = read_csv(out / "regime_map.csv")[0]
+    assert summary["status"] == "completed" and summary["decay_exponent"] == ""
+    for row in (summary, regime):
+        assert row["flag"] == "decay_fit_unavailable;horizon_too_short"
 
 
 def test_sweep_transition_across_critical_exponents(tmp_path):

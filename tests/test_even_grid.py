@@ -7,6 +7,7 @@ reflected field up to round-off: the full-grid path is the oracle.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,8 +46,11 @@ NON_DYADIC = 4.0 + 1.1 * 50.0
 
 
 @pytest.fixture(
-    params=[(2, 32, 8.0), (3, 16, 8.0), (2, 32, NON_DYADIC), (3, 32, NON_DYADIC)],
-    ids=["2-D", "3-D", "2-D-non-dyadic", "3-D-non-dyadic"],
+    params=[
+        (1, 64, 8.0), (2, 32, 8.0), (3, 16, 8.0),
+        (1, 64, NON_DYADIC), (2, 32, NON_DYADIC), (3, 32, NON_DYADIC),
+    ],
+    ids=["1-D", "2-D", "3-D", "1-D-non-dyadic", "2-D-non-dyadic", "3-D-non-dyadic"],
 )
 def grids(request):
     dim, points, half_length = request.param
@@ -195,6 +199,28 @@ def _run_pair(grid, **overrides):
     )
 
 
+def _assert_runs_match(grid, mass_floor, **overrides):
+    """Every run-table column within 1e-12 relative, ``exterior_mass`` also
+    within ``mass_floor`` times ``l2_u``, and the final states within 1e-12
+    of their max-norm."""
+    (h_even, rows_even), (h_full, rows_full) = _run_pair(grid, **overrides)
+    config = h_even.config
+    assert (stepper._memory_blocks(config)[1] > 0) == (config.n_steps > stepper._BLOCK)
+    assert h_even.status == h_full.status
+    assert h_full.status.phase is Phase.COMPLETED
+    assert len(rows_even) == len(rows_full) == config.n_steps + 1
+    for got, want in zip(rows_even, rows_full):
+        for column in cli.RUN_COLUMNS:
+            floor = mass_floor * want["l2_u"] if column == "exterior_mass" else 0.0
+            gap = abs(got[column] - want[column])
+            assert close(got[column], want[column]) or gap <= floor, column
+    final_even, final_full = h_even.states[-1], h_full.states[-1]
+    for name in ("u", "v"):
+        want = getattr(final_full, name)
+        got = reflect(grid, getattr(final_even, name))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
 @pytest.mark.parametrize(
     "dim,points,half_length,support_radius,p,amplitude,t_end",
@@ -209,39 +235,57 @@ def _run_pair(grid, **overrides):
 def test_even_run_matches_the_full_grid_run(
     dim, points, half_length, support_radius, p, amplitude, t_end, nonlinear
 ):
-    grid = SpatialGrid(dim, half_length, points, even=True)
-    (h_even, rows_even), (h_full, rows_full) = _run_pair(
-        grid, p=p, support_radius=support_radius, amplitude=amplitude,
-        t_end=t_end, nonlinearity_enabled=nonlinear,
-    )
-    config = h_even.config
-    assert (stepper._memory_blocks(config)[1] > 0) == (config.n_steps > stepper._BLOCK)
-    assert h_even.status == h_full.status
-    assert h_full.status.phase is Phase.COMPLETED
-    assert len(rows_even) == len(rows_full) == config.n_steps + 1
     # exterior_mass too, also where it is exactly 0 (at t = 0 the data
     # vanish outside the support on both grids)
-    for got, want in zip(rows_even, rows_full):
-        for column in cli.RUN_COLUMNS:
-            assert close(got[column], want[column]), column
-    final_even, final_full = h_even.states[-1], h_full.states[-1]
-    for name in ("u", "v"):
-        want = getattr(final_full, name)
-        got = reflect(grid, getattr(final_even, name))
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    _assert_runs_match(
+        SpatialGrid(dim, half_length, points, even=True), mass_floor=0.0,
+        p=p, support_radius=support_radius, amplitude=amplitude,
+        t_end=t_end, nonlinearity_enabled=nonlinear,
+    )
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+# 30 steps, one block, and 40 steps in blocks: the 1-D run of these data
+# blows up at t = 2.5
+@pytest.mark.parametrize("t_end", [1.5, 2.0], ids=["direct", "blocked"])
+def test_even_1d_run_matches_the_full_grid_run(t_end, nonlinear):
+    # the 1-D exterior mass falls to about 1e-9 of ||u||_2, where the two
+    # grids' transform round-off (about 1e-16 of ||u||_2, the floor README
+    # documents) shows in its relative digits
+    _assert_runs_match(
+        SpatialGrid(1, 8.0, 64, even=True), mass_floor=1e-15,
+        p=2.5, support_radius=3.0, amplitude=1.0,
+        t_end=t_end, nonlinearity_enabled=nonlinear,
+    )
 
 
 def test_even_blow_up_keeps_its_detection_time():
-    grid = SpatialGrid(2, 8.0, 32, even=True)
-    (h_even, _), (h_full, _) = _run_pair(
-        grid, p=1.5, support_radius=3.0, amplitude=2.0, t_end=25.0
-    )
-    assert h_full.status.phase is Phase.BLOWUP_DETECTED
-    assert h_even.status == h_full.status  # the same phase and the exact t
+    for grid in (SpatialGrid(1, 8.0, 64, even=True), SpatialGrid(2, 8.0, 32, even=True)):
+        (h_even, _), (h_full, _) = _run_pair(
+            grid, p=1.5, support_radius=3.0, amplitude=2.0, t_end=25.0
+        )
+        assert h_full.status.phase is Phase.BLOWUP_DETECTED
+        assert h_even.status == h_full.status  # the same phase and the exact t
 
 
-def test_cli_takes_the_even_grid_for_two_and_three_dimensions():
-    for n, even in ((1, False), (2, True), (3, True)):
+def test_cli_takes_the_even_grid_in_every_dimension():
+    for n in (1, 2, 3):
         grid = cli.parse_config(f"n = {n}\npoints_per_dim = 16\n").scenario.grid
-        assert grid.even is even
+        assert grid.even is True
         assert grid.points_per_dim == 16
+
+
+def test_custom_orthant_samples_reproduce_the_preset_run():
+    # even custom data go on the even grid as their orthant samples
+    preset = ScenarioConfig(
+        grid=SpatialGrid(2, 8.0, 32, even=True), gamma=0.9, p=2.5,
+        support_radius=3.0, amplitude=1.0, dt=0.05, t_end=1.5,
+    )
+    state0 = stepper.make_initial_data(preset)
+    custom = replace(preset, data_shape="custom", custom_data=(state0.u, state0.v))
+    h_preset, h_custom = stepper.run(preset), stepper.run(custom)
+    assert h_custom.status == h_preset.status
+    assert h_custom.records == h_preset.records
+    for name in ("u", "v"):
+        got, want = getattr(h_custom.states[-1], name), getattr(h_preset.states[-1], name)
+        assert got.tobytes() == want.tobytes()
