@@ -310,10 +310,9 @@ class _RunRows:
         self.stride = 1 if full_resolution else max(1, math.ceil(nodes / MAX_TIMESERIES_ROWS))
         self.delta = delta
         self.exterior: dict[int, float] = {}
-        self._scratch = np.empty(config.grid.spectrum_shape, dtype=config.grid.spectrum_dtype)
 
     def _exterior(self, state, uh=None) -> float:
-        return diagnostics.exterior_energy(state, self.delta, uh, self._scratch).value
+        return diagnostics.exterior_energy(state, self.delta, uh).value
 
     def __call__(self, node, state, uh, g, forcing) -> None:
         if node % self.stride == 0:
@@ -425,6 +424,9 @@ SUMMARY_COLUMNS = (
     "verdict",
     "flag",
 )
+
+#: the sweep's regime map, a projection of its summary rows
+REGIME_COLUMNS = ("label", "n", "gamma", "p", "amplitude", "verdict", "status", "t_detect", "flag")
 
 
 def _cmd_simulate(manifest: RunManifest) -> SummaryReport:
@@ -568,23 +570,8 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
             report.tables[label] = (RUN_COLUMNS, rows)
             for row in rows:
                 report.long_rows.append((label, "l2_du", row["t"], row["l2_du"]))
-        map_rows.append(
-            {
-                "label": label,
-                "n": scenario.dim,
-                "gamma": scenario.gamma,
-                "p": scenario.p,
-                "amplitude": scenario.amplitude,
-                "verdict": verdict.tag,
-                "status": summary["status"],
-                "t_detect": summary["t_detect"],
-                "flag": summary["flag"],
-            }
-        )
-    report.tables["regime_map"] = (
-        ("label", "n", "gamma", "p", "amplitude", "verdict", "status", "t_detect", "flag"),
-        map_rows,
-    )
+        map_rows.append({c: summary[c] for c in REGIME_COLUMNS})
+    report.tables["regime_map"] = (REGIME_COLUMNS, map_rows)
     return report
 
 

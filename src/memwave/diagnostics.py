@@ -91,20 +91,14 @@ class ExteriorEnergy:
 
 
 def exterior_energy(
-    state: FieldState,
-    delta: float,
-    spectrum: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    state: FieldState, delta: float, spectrum: np.ndarray | None = None
 ) -> ExteriorEnergy:
     """||(u_t, grad u)||_2 restricted to |x| > t^(1/2 + delta).
 
     At t = 0 the restriction radius is zero, so the value covers (essentially)
     the full domain.  An empty discrete region yields value 0 with a flag.
     ``spectrum``, when given, is u's spectrum already in hand (a stepping
-    loop has it) and saves the forward transform.  ``out``, a scratch array
-    shaped and typed like a spectrum (a new one when not given), takes the
-    gradient's symbol products and then u_t^2; the density is summed in place
-    in the array that holds |grad u|^2.
+    loop has it) and saves the forward transform.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -113,10 +107,8 @@ def exterior_energy(
     mask = grid.radius > radius
     if not mask.any():
         return ExteriorEnergy(0.0, True)
-    if out is None:
-        out = np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype)
-    density = grid.gradient_squared(state.u, spectrum, out=out)
-    np.add(np.square(state.v, out=grid.real_view(out)), density, out=density)
+    density = grid.gradient_squared(state.u, spectrum)
+    density += np.square(state.v)
     value = math.sqrt(grid.cell_sum(density, where=mask))
     return ExteriorEnergy(value, False)
 

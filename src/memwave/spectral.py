@@ -82,11 +82,6 @@ class SpatialGrid:
         """Element type of :meth:`to_spectrum`'s output: real on the even grid."""
         return np.dtype(float if self.even else complex)
 
-    def real_view(self, buffer: np.ndarray) -> np.ndarray:
-        """A grid-shaped float array over the leading doubles of ``buffer``, a
-        spectrum-shaped array, which holds at least as many."""
-        return buffer.view(float).reshape(-1)[: math.prod(self.shape)].reshape(self.shape)
-
     @cached_property
     def axis_coords(self) -> np.ndarray:
         """x_j = (j - N/2) dx on the full grid, k dx for k = 0..N/2 on the even
@@ -201,9 +196,9 @@ class SpatialGrid:
             values = values[where]
         return float(np.sum(values) * self.cell_volume)
 
-    def l2_norm(self, field: np.ndarray, out: np.ndarray | None = None) -> float:
-        """||field||_2; ``out``, a grid-shaped scratch array, receives field**2."""
-        return math.sqrt(self.cell_sum(np.square(field, out=out)))
+    def l2_norm(self, field: np.ndarray) -> float:
+        """||field||_2."""
+        return math.sqrt(self.cell_sum(np.square(field)))
 
     def gradient(self, field: np.ndarray) -> list[np.ndarray]:
         """Components of grad(field)."""
@@ -213,10 +208,7 @@ class SpatialGrid:
         ]
 
     def gradient_squared(
-        self,
-        field: np.ndarray,
-        spectrum: np.ndarray | None = None,
-        out: np.ndarray | None = None,
+        self, field: np.ndarray, spectrum: np.ndarray | None = None
     ) -> np.ndarray:
         """|grad(field)|^2 on the grid, the sum of the squared components of
         :meth:`gradient` in axis order.
@@ -224,34 +216,28 @@ class SpatialGrid:
         The components are formed one at a time, each freed before the next
         is made, and the sum is kept in the first.  ``spectrum``, when given,
         is the field's spectrum already in hand and saves the forward
-        transform; ``out``, a scratch array shaped and typed like a spectrum,
-        receives each symbol product in turn.
+        transform.
         """
         spec = self.to_spectrum(field) if spectrum is None else spectrum
         total = None
         for axis, sym in enumerate(self.grad_symbols):
-            component = self.to_field(np.multiply(sym, spec, out=out), odd_axis=axis)
+            component = self.to_field(sym * spec, odd_axis=axis)
             np.square(component, out=component)
             total = component if total is None else np.add(total, component, out=total)
         return total
 
-    def gradient_l2_squared(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> float:
-        """||grad u||_2^2 from u's spectrum, equal to the norm of :meth:`gradient`;
-        ``out``, like ``spectrum``, receives the weighted spectrum."""
-        weighted = np.multiply(self.gradient_weights, spectrum, out=out)
-        return float(np.vdot(spectrum, weighted).real)
+    def gradient_l2_squared(self, spectrum: np.ndarray) -> float:
+        """||grad u||_2^2 from u's spectrum, equal to the norm of :meth:`gradient`."""
+        return float(np.vdot(spectrum, self.gradient_weights * spectrum).real)
 
-    def exterior_l2(
-        self, field: np.ndarray, radius: float, out: np.ndarray | None = None
-    ) -> float:
-        """L2 norm of the field restricted to |x| > radius; ``out``, a
-        grid-shaped scratch array, receives field**2.
+    def exterior_l2(self, field: np.ndarray, radius: float) -> float:
+        """L2 norm of the field restricted to |x| > radius.
 
         The squares of the cells outside are gathered and summed in grid
         order; a sum without the gather (masked, or over sorted radial
         shells) adds them in another order and changes the last bits.
         """
-        return math.sqrt(self.cell_sum(np.square(field, out=out), where=self.radius > radius))
+        return math.sqrt(self.cell_sum(np.square(field), where=self.radius > radius))
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,12 +378,6 @@ class StepCoefficients:
         self.grid = grid
         self.dt = dt
         self.matrix = _step_matrix(grid.xi_squared, dt)
-        # the spectra rows() writes, allocated once the matrix's temporaries are gone
-        self._products = [
-            (np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype),
-             np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype))
-            for _ in range(2)
-        ]
 
     def rows(self, uh, vh, f0h) -> list[tuple]:
         """Per output row (u_hat, then v_hat): the parts of a step known before
@@ -405,37 +385,20 @@ class StepCoefficients:
 
         :meth:`finish` completes a row for one end forcing, so a
         predictor-corrector step forms these products once for both passes.
-        The products are written into four spectra the coefficients hold,
-        so the rows stay valid until the next call; the inputs are only read.
         """
-        (free_u, start_u), (free_v, start_v) = self._products
-        # mix = u_hat/2 + v_hat lives in the v row's start buffer until the
-        # v row's own mix product consumes it
-        mix = np.add(np.multiply(0.5, uh, out=start_v), vh, out=start_v)
-        rows = []
-        for (cu, cm, c0, c1), (free, start) in zip(self.matrix, self._products):
-            np.multiply(cu, uh, out=free)
-            np.add(free, np.multiply(cm, mix, out=start), out=free)
-            rows.append((free, np.multiply(c0, f0h, out=start), c1))
-        return rows
+        mix = 0.5 * uh + vh
+        return [(cu * uh + cm * mix, c0 * f0h, c1) for cu, cm, c0, c1 in self.matrix]
 
     @staticmethod
-    def finish(row: tuple, f1h, out=None):
-        """A row of :meth:`rows` one step later for the end forcing ``f1h``,
-        written into ``out`` (which may be ``f1h`` itself, not a spectrum of
-        the row)."""
+    def finish(row: tuple, f1h):
+        """A row of :meth:`rows` one step later for the end forcing ``f1h``."""
         free, start, weight = row
-        total = np.multiply(weight, f1h, out=out)
-        np.add(start, total, out=total)
-        return np.add(free, total, out=total)
+        return free + (start + weight * f1h)
 
-    def advance(self, uh, vh, f0h, f1h, out=(None, None)):
-        """One step in spectral space; forcing samples at both step endpoints.
-
-        ``out`` takes the new (u_hat, v_hat); it may be ``(uh, vh)``.
-        """
+    def advance(self, uh, vh, f0h, f1h):
+        """One step in spectral space; forcing samples at both step endpoints."""
         u_row, v_row = self.rows(uh, vh, f0h)
-        return self.finish(u_row, f1h, out[0]), self.finish(v_row, f1h, out[1])
+        return self.finish(u_row, f1h), self.finish(v_row, f1h)
 
 
 def duhamel_step(

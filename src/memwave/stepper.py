@@ -23,12 +23,7 @@ new u and v, and the new |u|^p sample; a linear step costs two, the new u
 and v.  ||grad u||_2 in the per-step records is taken from u's spectrum by
 Parseval, so the only other transforms are those of observers (the CLI's
 run table takes one per gradient component for each row's exterior
-energy).  Every product of a step is written into buffers allocated once
-per run (u's, v's and the forcing's spectra, the propagator's row
-products, the known part and one scratch spectrum), so a step makes no new
-grid-sized array besides the transforms' outputs, the exterior-mass norm's
-gather of the cells outside the support ball and, on the even grid, the
-weighted copy each sum over cells makes.
+energy).
 
 :func:`run` keeps per-node norms only.  Whatever else a consumer needs from
 the nodes (CSV rows, weak-form pairings) it accumulates as an observer that
@@ -103,7 +98,8 @@ class ScenarioConfig:
     then propagates inside the ball of radius t + support_radius.
     ``nonlinearity_enabled=False`` runs the plain linear flow through the
     same stepping loop (the memory records are skipped in that case since
-    the forcing is identically zero).
+    the forcing is identically zero).  Every real field must be finite, and
+    ``custom_data`` is given exactly when ``data_shape`` is ``"custom"``.
     """
 
     grid: SpatialGrid
@@ -119,6 +115,11 @@ class ScenarioConfig:
     custom_data: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
+        reals = ("gamma", "p", "support_radius", "amplitude", "dt", "t_end", "blowup_threshold")
+        for name in reals:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.p <= 1.0:
@@ -141,8 +142,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown data_shape {self.data_shape!r}; options: {DATA_SHAPES}"
             )
-        if self.data_shape == "custom" and self.custom_data is None:
-            raise ValueError("custom data_shape requires custom_data samples")
+        if (self.data_shape == "custom") != (self.custom_data is not None):
+            raise ValueError("custom_data must be given exactly when data_shape is 'custom'")
 
     @property
     def dim(self) -> int:
@@ -288,27 +289,14 @@ class MemoryConvolution:
         self.first, self.conv = product_weights(alpha, n_steps)
         self.tail_weight = self.scale * self.conv[0]
 
-    def known_part(
-        self,
-        samples: np.ndarray,
-        m_next: int,
-        *,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Weighted sum over samples 0..m_next-1 of the node-m_next integral.
-
-        The sum is written into ``out``, an array shaped like one sample; the
-        weighted sum over samples 1.. is formed first in ``scratch``, a flat
-        array of one sample's size.  Either is a new array when not given.
-        """
-        acc = np.multiply(self.first[m_next], samples[0], out=out)
+    def known_part(self, samples: np.ndarray, m_next: int) -> np.ndarray:
+        """Weighted sum over samples 0..m_next-1 of the node-m_next integral."""
+        acc = self.first[m_next] * samples[0]
         if m_next >= 2:
             w = self.conv[m_next - 1 : 0 : -1]
             rows = samples[1:m_next]
-            later = np.dot(w, rows.reshape(len(rows), -1), out=scratch)
-            np.add(acc, later.reshape(acc.shape), out=acc)
-        return np.multiply(self.scale, acc, out=acc)
+            acc += np.dot(w, rows.reshape(len(rows), -1)).reshape(acc.shape)
+        return self.scale * acc
 
     def value_at(self, samples: np.ndarray, m: int) -> np.ndarray:
         if m == 0:
@@ -353,44 +341,22 @@ def detect_blowup(record: StepRecord, initial: StepRecord, threshold: float) -> 
     return value >= threshold * base
 
 
-class _Workspace:
-    """Scratch arrays of one run, reused by every step: ``spectrum`` shaped
-    and typed like a spectrum, ``field`` real on the grid and ``flags``
-    boolean on it.
-
-    ``field`` is the leading part of ``spectrum``'s memory (a spectrum holds
-    at least as many doubles as a field), so a caller uses one of the two at
-    a time.
-    """
-
-    def __init__(self, grid: SpatialGrid):
-        self.spectrum = np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype)
-        self.field = grid.real_view(self.spectrum)
-        self.flags = np.empty(grid.shape, dtype=bool)
-
-
 def _make_record(
-    config: ScenarioConfig,
-    state: FieldState,
-    uh: np.ndarray,
-    forcing_l2: float,
-    work: _Workspace,
+    config: ScenarioConfig, state: FieldState, uh: np.ndarray, forcing_l2: float
 ) -> StepRecord:
     """Norms of ``state``; ||grad u||^2 comes from u's spectrum ``uh`` by
-    Parseval.  The squares and the weighted spectrum go into ``work``."""
+    Parseval."""
     grid = config.grid
-    l2_u = grid.l2_norm(state.u, out=work.field)
-    grad2 = grid.gradient_l2_squared(uh, out=work.spectrum)
-    l2_ut2 = grid.l2_norm(state.v, out=work.field) ** 2
+    l2_u = grid.l2_norm(state.u)
+    grad2 = grid.gradient_l2_squared(uh)
+    l2_ut2 = grid.l2_norm(state.v) ** 2
     return StepRecord(
         t=state.time,
         l2_u=l2_u,
         h1_u=math.sqrt(l2_u**2 + grad2),
         l2_du=math.sqrt(l2_ut2 + grad2),
         forcing_l2=forcing_l2,
-        exterior_mass=grid.exterior_l2(
-            state.u, state.time + config.support_radius, out=work.field
-        ),
+        exterior_mass=grid.exterior_l2(state.u, state.time + config.support_radius),
     )
 
 
@@ -399,10 +365,9 @@ def _make_record(
 #: FieldState, u's spectrum, the |u|^p sample and the memory forcing at the
 #: node (both None when the nonlinearity is disabled; the forcing is zero at
 #: node 0).  Observers must not modify the arrays they are given.  The state
-#: may be kept; u_hat, g and the forcing are valid only during the call: they
-#: live in buffers that the next step rewrites (g in the memory sum's block),
-#: also when that step is the one the run stops at, so an observer copies
-#: what it keeps of them.
+#: may be kept; u_hat, g and the forcing are valid only during the call, so
+#: an observer copies what it keeps of them: g is a row of the memory sum's
+#: block, which later steps rewrite.
 Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray | None], None]
 
 #: Steps per block of the blocked memory sum.
@@ -423,25 +388,24 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
 
 #: Grid-sized arrays a run holds at its peak besides the memory sum's
 #: arrays, with the nonlinearity on or off, in two kinds.  Fields and
-#: spectra: the step's reused buffers (u's, v's and the forcing's spectra,
-#: the propagator's four row products, the known part and one scratch
-#: spectrum), the kept states, the grid's cached geometry and the few new
-#: arrays of a step (its transforms' outputs).  Real per-mode arrays: the
-#: step matrix and the temporaries that build it, |xi|^2 and the Parseval
-#: weights, half a field each on the full grid (its last axis is halved)
-#: and a whole one on the even grid.  tracemalloc puts the two kinds at
-#: 22-24 fields on full 1-, 2- and 3-D grids of 1024 to 32768 points and at
-#: 28-38 on even 2- and 3-D grids of 1089 to 35937 points, direct and
-#: blocked.  The estimate counts 10 of the first kind and 29 of the second;
-#: tests/test_stepper.py checks that it bounds the peak.
-_WORKING_ARRAYS = 10
-_MODE_ARRAYS = 29
+#: spectra: the kept states, u's, v's and the forcing's spectra, the known
+#: part, the propagator's four row products, the grid's cached geometry and
+#: the products and transforms' outputs in flight in a step.  Real per-mode
+#: arrays: the step matrix and the temporaries that build it, |xi|^2 and the
+#: Parseval weights, half a field each on the full grid (its last axis is
+#: halved) and a whole one on the even grid.  tracemalloc puts the two kinds
+#: at 21-29 fields on full 1-, 2- and 3-D grids of 1024 to 32768 points with
+#: the nonlinearity on (8-21 with it off) and at 35-37 on even 2- and 3-D
+#: grids of 1089 to 35937 points, direct and blocked.  The estimate counts
+#: 30 of the first kind and 15 of the second; tests/test_stepper.py checks
+#: that it bounds the peak.
+_WORKING_ARRAYS = 30
+_MODE_ARRAYS = 15
 #: bytes per node outside the arrays (a StepRecord, product weights) and
-#: bytes independent of the grid and the step count, mostly numpy's ufunc
-#: buffers of 8192 elements: 128 KiB for a complex product of a real
-#: factor, 64 KiB for the block fold's broadcast
+#: bytes independent of the grid and the step count (numpy's ufunc buffers
+#: among them), fitted with the two counts above
 _NODE_BYTES = 400
-_FIXED_BYTES = 176 * 1024
+_FIXED_BYTES = 64 * 1024
 
 
 def memory_estimate(config: ScenarioConfig) -> int:
@@ -550,14 +514,12 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     dt = config.dt
     p = config.p
     state0 = make_initial_data(config)
-    work = _Workspace(grid)
-    # u's and v's spectra and the forcing's spectrum at the step start: each
-    # step rewrites these three buffers in place
+    # u's and v's spectra and the forcing's spectrum at the step start
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
     fh = np.zeros_like(uh)
     history = SolutionHistory(config)
-    history.records.append(_make_record(config, state0, uh, 0.0, work))
+    history.records.append(_make_record(config, state0, uh, 0.0))
 
     coeffs = StepCoefficients(grid, dt)
     initial_record = history.records[0]
@@ -568,9 +530,6 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
         history.states = [state0, state]
         return history
 
-    def _finite(field: np.ndarray) -> bool:
-        return bool(np.isfinite(field, out=work.flags).all())
-
     nonlinear = config.nonlinearity_enabled
     g = forcing = past = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -579,8 +538,7 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
             # the |u|^p samples of the current block, nodes start .. start + B
             block = np.zeros((B + 1,) + grid.shape)
             g = _power_p(state0.u, p, out=block[0])
-            # the known part of the memory sum, completed to the forcing
-            forcing = known = np.zeros(grid.shape)
+            forcing = np.zeros(grid.shape)
             conv = MemoryConvolution(config.gamma, dt, B)
             w = conv.tail_weight
             gh = grid.to_spectrum(g)
@@ -601,48 +559,42 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
             t_next = (m + 1) * dt
             if nonlinear:
                 k = m + 1 - start
-                conv.known_part(block, k, out=known, scratch=work.field.reshape(-1))
+                # the known part of the memory sum, completed to the forcing
+                known = conv.known_part(block, k)
                 if past is not None:
                     known += past[k - 1].reshape(grid.shape)
                 kh = grid.to_spectrum(known)
                 u_row, v_row = coeffs.rows(uh, vh, fh)
-                # the predictor's end forcing, then its u_hat, in fh
-                np.add(kh, np.multiply(w, gh, out=fh), out=fh)
-                del gh
-                uh_star = coeffs.finish(u_row, fh, out=fh)
-                g_star = grid.to_field(uh_star)
-                fh_end = grid.to_spectrum(_power_p(g_star, p, out=g_star))
-                del g_star
-                np.add(kh, np.multiply(w, fh_end, out=fh_end), out=fh_end)
-                coeffs.finish(u_row, fh_end, out=uh)
-                coeffs.finish(v_row, fh_end, out=vh)
-                del u_row, v_row, fh_end
+                # the predictor's u_hat, with the newest sample frozen
+                uh_star = coeffs.finish(u_row, kh + w * gh)
+                g_star = _power_p(grid.to_field(uh_star), p)
+                fh_end = kh + w * grid.to_spectrum(g_star)
+                uh, vh = coeffs.finish(u_row, fh_end), coeffs.finish(v_row, fh_end)
             else:
-                coeffs.advance(uh, vh, fh, fh, out=(uh, vh))
+                uh, vh = coeffs.advance(uh, vh, fh, fh)
             u = grid.to_field(uh)
             v = grid.to_field(vh)
-            if not (_finite(u) and _finite(v)):
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
                 return _finish(_non_finite_status(
                     config, history.records[-1], initial_record, t_next, "u or v"
                 ))
             if nonlinear:
                 g = _power_p(u, p, out=block[k])
-                np.add(known, np.multiply(w, g, out=work.field), out=known)
-                if not _finite(forcing):
+                known += w * g
+                forcing = known
+                if not np.isfinite(forcing).all():
                     return _finish(_non_finite_status(
                         config, history.records[-1], initial_record, t_next, "forcing"
                     ))
-            # u and v are new arrays from the inverse FFTs, checked finite
-            # above; the state they replace is freed before the next FFT
+            # u and v are new arrays from the inverse FFTs, checked finite above
             state = FieldState._of_checked(grid, u, v, t_next)
             if nonlinear:
                 gh = grid.to_spectrum(g)
-                np.add(kh, np.multiply(w, gh, out=fh), out=fh)
-                del kh
-                forcing_l2 = grid.l2_norm(forcing, out=work.field)
+                fh = kh + w * gh
+                forcing_l2 = grid.l2_norm(forcing)
             else:
                 forcing_l2 = 0.0
-            record = _make_record(config, state, uh, forcing_l2, work)
+            record = _make_record(config, state, uh, forcing_l2)
             history.records.append(record)
             for observer in observers:
                 observer(m + 1, state, uh, g, forcing)

@@ -71,16 +71,12 @@ def test_grid_spacing_and_volume():
     ],
 )
 def test_gradient_squared_is_the_sum_of_squared_components(dim, points, even):
-    # one component at a time, from the spectrum in hand or not, with or
-    # without a scratch array: bit for bit the squares of gradient() summed
+    # one component at a time, from the spectrum in hand or not: bit for
+    # bit the squares of gradient() summed
     grid = SpatialGrid(dim, 8.0, points, even=even)
     u = np.random.default_rng(dim).standard_normal(grid.shape)
     want = sum(c**2 for c in grid.gradient(u))
-    scratch = np.empty(grid.spectrum_shape, dtype=grid.spectrum_dtype)
-    for got in (
-        grid.gradient_squared(u),
-        grid.gradient_squared(u, grid.to_spectrum(u), out=scratch),
-    ):
+    for got in (grid.gradient_squared(u), grid.gradient_squared(u, grid.to_spectrum(u))):
         assert got.tobytes() == want.tobytes()
     # the symbols broadcast along their own axis only
     for axis, sym in enumerate(grid.grad_symbols):

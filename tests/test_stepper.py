@@ -97,6 +97,32 @@ def test_config_validation():
         small_config(data_shape="custom")  # no samples given
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("gamma", math.nan),
+        ("p", math.nan),
+        ("support_radius", math.nan),
+        ("amplitude", math.nan),
+        ("dt", math.nan),
+        ("t_end", math.inf),
+        ("blowup_threshold", math.nan),
+        ("blowup_threshold", math.inf),
+    ],
+)
+def test_config_rejects_a_non_finite_value_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        small_config(**{name: value})
+
+
+@pytest.mark.parametrize("shape", ["gaussian_bump", "plateau"])
+def test_config_rejects_custom_data_with_a_preset_shape(shape):
+    grid = SpatialGrid(1, 32.0, 256)
+    samples = (np.zeros(grid.shape), np.zeros(grid.shape))
+    with pytest.raises(ValueError, match="custom_data"):
+        small_config(grid=grid, data_shape=shape, custom_data=samples)
+
+
 def test_default_dt_and_box():
     grid = SpatialGrid(1, 32.0, 256)
     assert default_dt(grid) == pytest.approx(min(0.25, 0.5 * grid.dx))
@@ -558,7 +584,7 @@ def test_fold_in_chunks_matches_the_dgemm_fold(terms, points):
 
 
 def _parent_power_p(u, p):
-    """|u|^p as a new array, as the loop formed it before its workspace."""
+    """|u|^p as a new array."""
     absu = np.abs(u)
     if float(p).is_integer():
         return absu ** int(p)
@@ -572,30 +598,30 @@ def _parent_power_p(u, p):
 def _parent_record(config, state, uh, forcing_l2):
     """The per-node norms, each from its own temporaries and mask gather."""
     grid = config.grid
-    l2_u = float(np.sqrt(np.sum(state.u**2) * grid.cell_volume))
+    l2_u = math.sqrt(grid.cell_sum(state.u**2))
     grad2 = float(np.vdot(uh, grid.gradient_weights * uh).real)
-    l2_ut2 = float(np.sqrt(np.sum(state.v**2) * grid.cell_volume)) ** 2
-    outside = state.u[grid.radius > state.time + config.support_radius]
+    l2_ut2 = math.sqrt(grid.cell_sum(state.v**2)) ** 2
+    outside = grid.radius > state.time + config.support_radius
     return StepRecord(
         t=state.time,
         l2_u=l2_u,
         h1_u=math.sqrt(l2_u**2 + grad2),
         l2_du=math.sqrt(l2_ut2 + grad2),
         forcing_l2=forcing_l2,
-        exterior_mass=float(np.sqrt(np.sum(outside**2) * grid.cell_volume)),
+        exterior_mass=math.sqrt(grid.cell_sum(state.u**2, where=outside)),
     )
 
 
 def _parent_run(config, power=_parent_power_p):
-    """The step loop as it was before its preallocated workspace: every
-    product, the memory sum's known part and every norm in a new array.
+    """The step loop written out in plain numpy, apart from the stepper's
+    helpers: every product, the memory sum's known part and every norm.
 
     Returns the records, every node's u spectrum and forcing, the final
     state and the status, for the blocked memory sum as for a single block.
     """
     grid = config.grid
     M, dt, p = config.n_steps, config.dt, config.p
-    l2 = lambda field: float(np.sqrt(np.sum(field**2) * grid.cell_volume))
+    l2 = lambda field: math.sqrt(grid.cell_sum(field**2))
     state0 = make_initial_data(config)
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
@@ -726,8 +752,18 @@ def test_run_of_one_block_is_the_direct_loop_bit_for_bit(overrides, monkeypatch)
         (dict(amplitude=1.0, t_end=25.0), Phase.BLOWUP_DETECTED),
         # overflows after growing past 1e100, short of the threshold
         (dict(amplitude=1.0, t_end=25.0, blowup_threshold=1e200), Phase.BLOWUP_DETECTED),
+        # the even grid's orthant, as every CLI run takes it
+        (dict(grid=SpatialGrid(1, 32.0, 256, even=True), p=4.5, amplitude=1e-2,
+              t_end=10.0), Phase.COMPLETED),
+        (dict(grid=SpatialGrid(2, 8.0, 32, even=True), support_radius=3.0, p=2.5,
+              dt=0.05, t_end=3.0), Phase.COMPLETED),
+        (dict(grid=SpatialGrid(3, 6.0, 16, even=True), support_radius=2.0, p=4.5,
+              amplitude=1e-2, dt=0.05, t_end=2.5), Phase.COMPLETED),
+        (dict(grid=SpatialGrid(1, 32.0, 256, even=True), amplitude=1.0, t_end=25.0),
+         Phase.BLOWUP_DETECTED),
     ],
-    ids=["n1", "n2", "n3", "blowup", "overflow"],
+    ids=["n1", "n2", "n3", "blowup", "overflow", "n1-even", "n2-even", "n3-even",
+         "blowup-even"],
 )
 def test_blocked_run_is_the_parent_loop_bit_for_bit(overrides, phase):
     config = small_config(**overrides)
