@@ -404,6 +404,8 @@ def _summarize_run(
             row["decay_r2"] = fit.r_squared
         except ValueError:
             _add_flag(row, "decay_fit_unavailable")
+    if any(r.exterior_mass > stepper.EXTERIOR_MASS_BUDGET * r.l2_u for r in history.records):
+        _add_flag(row, "exterior_mass")
     return row
 
 
@@ -804,12 +806,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=Path, default=None, help="config file path")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
-        cmd.add_argument("--workers", type=int, default=1, help="parallel sweep entries")
-        cmd.add_argument(
-            "--full-resolution",
-            action="store_true",
-            help="emit every time step instead of striding to 5000 rows",
-        )
+        if name == "sweep":
+            cmd.add_argument("--workers", type=int, default=1, help="parallel sweep entries")
+        if name in ("simulate", "sweep"):
+            cmd.add_argument("--full-resolution", action="store_true",
+                             help="emit every time step instead of striding to 5000 rows")
     return parser
 
 
@@ -822,8 +823,8 @@ def main(argv=None) -> int:
             manifest = replace(manifest, output_dir=args.out)
         manifest = replace(
             manifest,
-            workers=max(1, args.workers),
-            full_resolution=args.full_resolution,
+            workers=max(1, getattr(args, "workers", 1)),
+            full_resolution=getattr(args, "full_resolution", False),
         )
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -143,16 +143,22 @@ class SpatialGrid:
         return out
 
     @cached_property
-    def gradient_weights(self) -> np.ndarray:
-        """Per-mode w with ||grad u||^2 = sum(w |u_hat|^2), u_hat = to_spectrum(u).
+    def parseval_weights(self) -> np.ndarray:
+        """Per-mode w with ||u||^2 = sum(w |u_hat|^2), u_hat = to_spectrum(u).
 
-        Parseval for the Nyquist-zeroed symbols of :meth:`gradient`: on a
-        halved axis the unpaired first and last planes count once, the
-        others twice, and 1/N^dim undoes the unnormalized forward transform.
+        Parseval on the stored modes: on a halved axis the unpaired first and
+        last planes count once, the others twice, and 1/N^dim undoes the
+        unnormalized forward transform.
         """
         counts = self.cell_weights if self.even else self._mirror_counts
+        return counts * (self.cell_volume / self.points_per_dim**self.dim)
+
+    @cached_property
+    def gradient_weights(self) -> np.ndarray:
+        """Per-mode w with ||grad u||^2 = sum(w |u_hat|^2): the Nyquist-zeroed
+        symbols of :meth:`gradient` squared times :attr:`parseval_weights`."""
         sym2 = sum(np.abs(sym) ** 2 for sym in self.grad_symbols)
-        return sym2 * counts * (self.cell_volume / self.points_per_dim**self.dim)
+        return sym2 * self.parseval_weights
 
     def to_spectrum(self, field: np.ndarray) -> np.ndarray:
         if self.even:
@@ -226,9 +232,12 @@ class SpatialGrid:
             total = component if total is None else np.add(total, component, out=total)
         return total
 
-    def gradient_l2_squared(self, spectrum: np.ndarray) -> float:
-        """||grad u||_2^2 from u's spectrum, equal to the norm of :meth:`gradient`."""
-        return float(np.vdot(spectrum, self.gradient_weights * spectrum).real)
+    def l2_squared(self, spectrum: np.ndarray, weights: np.ndarray | None = None) -> float:
+        """sum(weights |spectrum|^2): ||u||_2^2 from u's spectrum by Parseval
+        with the default :attr:`parseval_weights`, ||grad u||_2^2 with
+        :attr:`gradient_weights`."""
+        w = self.parseval_weights if weights is None else weights
+        return float(np.vdot(spectrum, w * spectrum).real)
 
     def exterior_l2(self, field: np.ndarray, radius: float) -> float:
         """L2 norm of the field restricted to |x| > radius.

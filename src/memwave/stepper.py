@@ -19,11 +19,11 @@ A step applies one precomputed per-mode propagator
 start-forcing products are formed once for both passes, and costs six
 transforms in any dimension (FFTs on the full grid, DCT-Is on the even
 one): the known part of the memory sum, the predicted u and its |u|^p, the
-new u and v, and the new |u|^p sample; a linear step costs two, the new u
-and v.  ||grad u||_2 in the per-step records is taken from u's spectrum by
-Parseval, so the only other transforms are those of observers (the CLI's
-run table takes one per gradient component for each row's exterior
-energy).
+new u and v, and the new |u|^p sample; a linear step, the same one with the
+forcing held at zero, costs two.  The records take ||u||_2, ||grad u||_2,
+||u_t||_2 and ||f||_2 from the step's spectra by Parseval, so the only other
+transforms are observers' (the CLI's run table takes one per gradient
+component for each row's exterior energy).
 
 :func:`run` keeps per-node norms only.  Whatever else a consumer needs from
 the nodes (CSV rows, weak-form pairings) it accumulates as an observer that
@@ -55,6 +55,10 @@ DATA_SHAPES = ("gaussian_bump", "plateau", "custom")
 #: width of the Gaussian core relative to the support radius; keeps the
 #: analytic tail at the support edge below 1e-10 of the peak.
 _CORE_WIDTH_FRACTION = 1.0 / 7.0
+
+#: Share of ||u||_2 a resolved run keeps outside the ball of radius t +
+#: support_radius (the support spreads at unit speed; the rest is ringing).
+EXTERIOR_MASS_BUDGET = 1e-8
 
 
 class Phase(enum.Enum):
@@ -97,9 +101,9 @@ class ScenarioConfig:
     ||u1||_2 equals it; ``support_radius`` bounds the data support, which
     then propagates inside the ball of radius t + support_radius.
     ``nonlinearity_enabled=False`` runs the plain linear flow through the
-    same stepping loop (the memory records are skipped in that case since
-    the forcing is identically zero).  Every real field must be finite, and
-    ``custom_data`` is given exactly when ``data_shape`` is ``"custom"``.
+    same step with the forcing held at zero.  Every real field must be
+    finite, and ``custom_data`` is given exactly when ``data_shape`` is
+    ``"custom"``.
     """
 
     grid: SpatialGrid
@@ -248,8 +252,8 @@ def make_initial_data(config: ScenarioConfig) -> FieldState:
 
     The core width is support_radius / 7, so the grid cutoff frequency must
     reach about 7 / width (points_per_dim >= ~14 * half_length /
-    support_radius) for the spectral support ringing to stay below the 1e-8
-    exterior-mass budget.
+    support_radius) for the spectral support ringing to stay below
+    :data:`EXTERIOR_MASS_BUDGET`.
     """
     grid = config.grid
     if config.data_shape == "custom":
@@ -305,21 +309,10 @@ class MemoryConvolution:
 
 
 def _power_p(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
-    """|u|^p with |u| = 0 mapped exactly to 0 for non-integer p, written into
-    ``out`` (which may be ``u`` itself; a new array when not given).
-
-    exp(p log|u|) in place: log 0 = -inf gives exactly 0, and fmax sends NaN
-    to 0 before the logarithm.
-    """
+    """|u|^p into ``out`` (``u`` itself allowed; a new array when not given).
+    NaN stays NaN, so a broken step reaches the run's finiteness checks."""
     absu = np.abs(u, out=out)
-    if float(p).is_integer():
-        absu **= int(p)
-        return absu
-    np.fmax(absu, 0.0, out=absu)
-    with np.errstate(divide="ignore"):
-        np.log(absu, out=absu)
-    absu *= p
-    return np.exp(absu, out=absu)
+    return np.power(absu, p, out=absu)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +335,20 @@ def detect_blowup(record: StepRecord, initial: StepRecord, threshold: float) -> 
 
 
 def _make_record(
-    config: ScenarioConfig, state: FieldState, uh: np.ndarray, forcing_l2: float
+    config: ScenarioConfig, state: FieldState, uh: np.ndarray, vh: np.ndarray, fh: np.ndarray
 ) -> StepRecord:
-    """Norms of ``state``; ||grad u||^2 comes from u's spectrum ``uh`` by
-    Parseval."""
+    """Norms of ``state`` and of the forcing at its node, by Parseval from
+    the spectra ``uh``, ``vh`` and ``fh`` of u, v and the forcing; only the
+    exterior mass is summed over the physical grid."""
     grid = config.grid
-    l2_u = grid.l2_norm(state.u)
-    grad2 = grid.gradient_l2_squared(uh)
-    l2_ut2 = grid.l2_norm(state.v) ** 2
+    l2_u2 = grid.l2_squared(uh)
+    grad2 = grid.l2_squared(uh, grid.gradient_weights)
     return StepRecord(
         t=state.time,
-        l2_u=l2_u,
-        h1_u=math.sqrt(l2_u**2 + grad2),
-        l2_du=math.sqrt(l2_ut2 + grad2),
-        forcing_l2=forcing_l2,
+        l2_u=math.sqrt(l2_u2),
+        h1_u=math.sqrt(l2_u2 + grad2),
+        l2_du=math.sqrt(grid.l2_squared(vh) + grad2),
+        forcing_l2=math.sqrt(grid.l2_squared(fh)),
         exterior_mass=grid.exterior_l2(state.u, state.time + config.support_radius),
     )
 
@@ -394,8 +387,8 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
 #: arrays: the step matrix and the temporaries that build it, |xi|^2 and the
 #: Parseval weights, half a field each on the full grid (its last axis is
 #: halved) and a whole one on the even grid.  tracemalloc puts the two kinds
-#: at 21-29 fields on full 1-, 2- and 3-D grids of 1024 to 32768 points with
-#: the nonlinearity on (8-21 with it off) and at 35-37 on even 2- and 3-D
+#: at 20-27 fields on full 1-, 2- and 3-D grids of 1024 to 32768 points with
+#: the nonlinearity on (13-22 with it off) and at 33-38 on even 2- and 3-D
 #: grids of 1089 to 35937 points, direct and blocked.  The estimate counts
 #: 30 of the first kind and 15 of the second; tests/test_stepper.py checks
 #: that it bounds the peak.
@@ -514,12 +507,12 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     dt = config.dt
     p = config.p
     state0 = make_initial_data(config)
-    # u's and v's spectra and the forcing's spectrum at the step start
+    # u's, v's and the forcing's spectra at the step start (a linear run's forcing stays 0)
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
     fh = np.zeros_like(uh)
     history = SolutionHistory(config)
-    history.records.append(_make_record(config, state0, uh, 0.0))
+    history.records.append(_make_record(config, state0, uh, vh, fh))
 
     coeffs = StepCoefficients(grid, dt)
     initial_record = history.records[0]
@@ -557,6 +550,7 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
 
         for m in range(M):
             t_next = (m + 1) * dt
+            u_row, v_row = coeffs.rows(uh, vh, fh)
             if nonlinear:
                 k = m + 1 - start
                 # the known part of the memory sum, completed to the forcing
@@ -564,14 +558,11 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
                 if past is not None:
                     known += past[k - 1].reshape(grid.shape)
                 kh = grid.to_spectrum(known)
-                u_row, v_row = coeffs.rows(uh, vh, fh)
                 # the predictor's u_hat, with the newest sample frozen
                 uh_star = coeffs.finish(u_row, kh + w * gh)
                 g_star = _power_p(grid.to_field(uh_star), p)
-                fh_end = kh + w * grid.to_spectrum(g_star)
-                uh, vh = coeffs.finish(u_row, fh_end), coeffs.finish(v_row, fh_end)
-            else:
-                uh, vh = coeffs.advance(uh, vh, fh, fh)
+                fh = kh + w * grid.to_spectrum(g_star)
+            uh, vh = coeffs.finish(u_row, fh), coeffs.finish(v_row, fh)
             u = grid.to_field(uh)
             v = grid.to_field(vh)
             if not (np.isfinite(u).all() and np.isfinite(v).all()):
@@ -586,15 +577,11 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
                     return _finish(_non_finite_status(
                         config, history.records[-1], initial_record, t_next, "forcing"
                     ))
-            # u and v are new arrays from the inverse FFTs, checked finite above
-            state = FieldState._of_checked(grid, u, v, t_next)
-            if nonlinear:
                 gh = grid.to_spectrum(g)
                 fh = kh + w * gh
-                forcing_l2 = grid.l2_norm(forcing)
-            else:
-                forcing_l2 = 0.0
-            record = _make_record(config, state, uh, forcing_l2)
+            # u and v are new arrays from the inverse FFTs, checked finite above
+            state = FieldState._of_checked(grid, u, v, t_next)
+            record = _make_record(config, state, uh, vh, fh)
             history.records.append(record)
             for observer in observers:
                 observer(m + 1, state, uh, g, forcing)
@@ -611,6 +598,7 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
 
 
 __all__ = [
+    "EXTERIOR_MASS_BUDGET",
     "Phase",
     "RunStatus",
     "ScenarioConfig",

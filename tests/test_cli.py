@@ -192,7 +192,28 @@ def test_simulate_linear_preset(tmp_path):
     assert summary["status"] == "completed"
     assert summary["schema"] == "memwave.v1"
     assert float(summary["decay_exponent"]) < 0.0
-    assert float(rows[-1]["exterior_mass"]) <= 1e-8 * float(rows[-1]["l2_u"])
+    assert float(rows[-1]["exterior_mass"]) <= stepper.EXTERIOR_MASS_BUDGET * float(
+        rows[-1]["l2_u"]
+    )
+    # resolved: no record's exterior mass exceeds the budget
+    assert summary["flag"] == ""
+
+
+def test_under_resolved_support_is_flagged(tmp_path):
+    # 16 points over a box of 5.4: the data core, of width K / 7 = 0.57, is
+    # about one cell wide, and its spectral ringing reaches far beyond the
+    # support ball; a one-second horizon also leaves no decay fit
+    config = "n = 3\np = 2.0\namplitude = 0.01\npoints_per_dim = 16\nt_end = 1.0\n"
+    code, out = run_cli(tmp_path, config, "simulate")
+    assert code == 0
+    summary = read_csv(out / "summary.csv")[0]
+    assert summary["status"] == "completed"
+    assert summary["flag"] == "decay_fit_unavailable;exterior_mass"
+    rows = read_csv(out / "run.csv")
+    assert any(
+        float(r["exterior_mass"]) > stepper.EXTERIOR_MASS_BUDGET * float(r["l2_u"])
+        for r in rows
+    )
 
 
 def test_simulate_blowup_exits_zero(tmp_path):
@@ -229,6 +250,25 @@ def test_gamma_grid_out_of_range_is_a_config_error(tmp_path):
     code, out = run_cli(tmp_path, "n = 1\ngamma_grid = 0.5, 1.5\n", "exponents")
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,flag",
+    [
+        ("simulate", "--workers=2"),
+        ("classify", "--workers=2"),
+        ("verify", "--workers=2"),
+        ("exponents", "--workers=2"),
+        ("classify", "--full-resolution"),
+        ("verify", "--full-resolution"),
+        ("exponents", "--full-resolution"),
+    ],
+)
+def test_flag_of_another_subcommand_exits_two(subcommand, flag):
+    # --workers acts on sweep only, --full-resolution on simulate and sweep
+    with pytest.raises(SystemExit) as excinfo:
+        main([subcommand, flag])
+    assert excinfo.value.code == 2
 
 
 def test_missing_config_file_exit_code(tmp_path):
@@ -280,7 +320,9 @@ def test_sweep_regime_map_and_coherence(tmp_path):
     by_p = {float(r["p"]): r for r in rows}
     assert by_p[2.0]["verdict"] == "BlowUpPositiveData"
     assert by_p[2.0]["status"] == "blowup_detected"
-    assert by_p[2.0]["flag"] == ""
+    # no horizon flag; the growing solution outruns the grid, whose exterior
+    # mass reaches 1.8e-4 of ||u||_2 by the detection
+    assert by_p[2.0]["flag"] == "exterior_mass"
     # p = 4.5 with amplitude 2.0 at this horizon may complete or blow up;
     # either way the coherence rule is: a blow-up verdict that completed
     # must carry the horizon flag

@@ -112,8 +112,8 @@ def test_gradient_is_the_full_gradient(grids):
         1e-13 * scale**2
     )
     # Parseval on the mirrored modes
-    want = full.gradient_l2_squared(full.to_spectrum(reflect(even, u)))
-    assert close(even.gradient_l2_squared(even.to_spectrum(u)), want)
+    want = full.l2_squared(full.to_spectrum(reflect(even, u)), full.gradient_weights)
+    assert close(even.l2_squared(even.to_spectrum(u), even.gradient_weights), want)
     assert close(even.cell_sum(g2), want)
 
 
@@ -149,6 +149,9 @@ def test_norms_match_the_reflected_full_grid(grids):
     even, full = grids
     s_even, s_full = _pair_of_states(even, full, 1.5)
     assert close(even.l2_norm(s_even.u), full.l2_norm(s_full.u))
+    # Parseval on the mirrored modes
+    for grid, state in ((even, s_even), (full, s_full)):
+        assert close(grid.l2_squared(grid.to_spectrum(state.u)), full.l2_norm(s_full.u) ** 2)
     # k * dx lies on the spheres through grid points, where both grids must
     # count the same cells
     for radius in (0.0, 1.0, 2.5, *(k * even.dx for k in (1, 2, 3))):

@@ -1,5 +1,6 @@
 """Stepping-loop tests: data construction, memory forcing, blow-up detection."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ import memwave.stepper as stepper_mod
 from memwave.frac_ops import SOE_STEP, exponential_hat_moments
 from memwave.spectral import SpatialGrid, linear_evolve
 from memwave.stepper import (
+    EXTERIOR_MASS_BUDGET,
     MemoryConvolution,
     Phase,
     ScenarioConfig,
@@ -212,7 +214,7 @@ def test_multidimensional_runs_complete(dim, points, half_length, t_end):
     assert final.u.shape == grid.shape
     assert np.isfinite(final.u).all()
     for record in history.records:
-        assert record.exterior_mass <= 1e-8 * max(record.l2_u, 1e-300)
+        assert record.exterior_mass <= EXTERIOR_MASS_BUDGET * max(record.l2_u, 1e-300)
     # memory forcing recomputation agrees with the streamed forcing
     node = len(seen.states) - 1
     np.testing.assert_allclose(
@@ -280,10 +282,11 @@ def test_memory_forcing_small_gamma_is_plain_integral():
 def test_memory_forcing_requires_record():
     # with the nonlinearity disabled there are no |u|^p samples and no forcing
     config = small_config(nonlinearity_enabled=False, t_end=1.0)
-    _, seen = collected_run(config)
+    history, seen = collected_run(config)
     assert len(seen.g) == config.n_steps + 1
     assert all(g is None for g in seen.g)
     assert all(f is None for f in seen.forcing)
+    assert [r.forcing_l2 for r in history.records] == [0.0] * len(seen.g)
 
 
 def test_forcing_record_matches_recomputation():
@@ -327,11 +330,22 @@ def test_records_align_with_states():
         assert record.l2_u >= 0.0 and math.isfinite(record.l2_u)
 
 
-@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
-def test_records_match_gradients_of_stored_states(dim, points):
-    # the records take ||grad u||^2 from u's spectrum by Parseval; white-noise
-    # data fills every mode, Nyquist planes included
-    grid = SpatialGrid(dim, 8.0, points)
+@pytest.mark.parametrize(
+    "dim,points,even",
+    [
+        pytest.param(1, 64, False, id="1-64"),
+        pytest.param(2, 16, False, id="2-16"),
+        pytest.param(3, 8, False, id="3-8"),
+        # the even grid's orthant, as every CLI run takes it
+        pytest.param(1, 64, True, id="1-64-even"),
+        pytest.param(2, 16, True, id="2-16-even"),
+        pytest.param(3, 8, True, id="3-8-even"),
+    ],
+)
+def test_records_match_gradients_of_stored_states(dim, points, even):
+    # the records take every norm from the step's spectra by Parseval;
+    # white-noise data fills every mode, Nyquist planes included
+    grid = SpatialGrid(dim, 8.0, points, even=even)
     rng = np.random.default_rng(dim)
     u0 = 0.05 * rng.standard_normal(grid.shape)
     u1 = 0.05 * rng.standard_normal(grid.shape)
@@ -342,27 +356,21 @@ def test_records_match_gradients_of_stored_states(dim, points):
     history, seen = collected_run(config)
     assert history.status.phase is Phase.COMPLETED
     assert len(seen.states) == len(history.records)
-    for state, record in zip(seen.states, history.records):
+    for state, forcing, record in zip(seen.states, seen.forcing, history.records):
         grad2 = sum(grid.l2_norm(c) ** 2 for c in grid.gradient(state.u))
         h1_u = math.sqrt(grid.l2_norm(state.u) ** 2 + grad2)
         l2_du = math.sqrt(grid.l2_norm(state.v) ** 2 + grad2)
+        assert record.l2_u == pytest.approx(grid.l2_norm(state.u), rel=1e-12)
         assert record.h1_u == pytest.approx(h1_u, rel=1e-12)
         assert record.l2_du == pytest.approx(l2_du, rel=1e-12)
-
-
-def _power_p_gathered(u, p):
-    """|u|^p as computed before the in-place form: boolean gather and scatter."""
-    absu = np.abs(u)
-    if float(p).is_integer():
-        return absu ** int(p)
-    out = np.zeros_like(absu)
-    nz = absu > 0.0
-    out[nz] = np.exp(p * np.log(absu[nz]))
-    return out
+        assert record.forcing_l2 == pytest.approx(grid.l2_norm(forcing), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5, 2.718281828])
 def test_power_p_bit_identical_to_gathered_form(p):
+    # _power_p is numpy's power of |u| bit for bit, in place as into a new
+    # array: NaN stays NaN (a broken step must reach the run's finiteness
+    # checks) and both zeros give +0
     tiny = np.finfo(float).smallest_subnormal
     special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-308,
                         np.nan, -np.nan, np.inf, -np.inf, 1e-300, 1e300, 1.0, -1.0])
@@ -370,11 +378,14 @@ def test_power_p_bit_identical_to_gathered_form(p):
     values = np.concatenate([special, rng.standard_normal(1001),
                              np.exp(rng.uniform(-700.0, 700.0, 1001))])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.abs(values) ** p
         got = _power_p(values, p)
-        want = _power_p_gathered(values, p)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    if not float(p).is_integer():
-        assert np.isfinite(got[7:9]).all() and (got[7:9] == 0.0).all()  # NaN -> 0
+        in_place = _power_p(values, p, out=values)
+    assert in_place is values
+    for result in (got, in_place):
+        assert result.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert np.isnan(got[7:9]).all()
+    assert got[:2].view(np.uint64).tolist() == [0, 0]  # +0 for both zeros
 
 
 def test_runs_are_bit_identical():
@@ -399,7 +410,7 @@ def test_exterior_mass_stays_negligible_in_completed_run():
     history = run(config)
     assert history.status.phase is Phase.COMPLETED
     for record in history.records:
-        assert record.exterior_mass <= 1e-8 * max(record.l2_u, 1e-300)
+        assert record.exterior_mass <= EXTERIOR_MASS_BUDGET * max(record.l2_u, 1e-300)
 
 
 def test_grid_convergence_under_dt_halving():
@@ -585,29 +596,28 @@ def test_fold_in_chunks_matches_the_dgemm_fold(terms, points):
 
 def _parent_power_p(u, p):
     """|u|^p as a new array."""
-    absu = np.abs(u)
-    if float(p).is_integer():
-        return absu ** int(p)
-    np.fmax(absu, 0.0, out=absu)
-    with np.errstate(divide="ignore"):
-        np.log(absu, out=absu)
-    absu *= p
-    return np.exp(absu, out=absu)
+    return np.power(np.abs(u), p)
 
 
-def _parent_record(config, state, uh, forcing_l2):
-    """The per-node norms, each from its own temporaries and mask gather."""
+def _parent_record(config, state, uh, vh, fh):
+    """The per-node norms: Parseval sums over the spectra of u, v and the
+    forcing, and the exterior mass from a mask gather."""
     grid = config.grid
-    l2_u = math.sqrt(grid.cell_sum(state.u**2))
-    grad2 = float(np.vdot(uh, grid.gradient_weights * uh).real)
-    l2_ut2 = math.sqrt(grid.cell_sum(state.v**2)) ** 2
+    counts = grid.cell_weights if grid.even else grid._mirror_counts
+    weights = counts * (grid.cell_volume / grid.points_per_dim**grid.dim)
+    sym2 = sum(np.abs(sym) ** 2 for sym in grid.grad_symbols)
+
+    def squared(spectrum, w=weights):
+        return float(np.vdot(spectrum, w * spectrum).real)
+
+    l2_u2, grad2 = squared(uh), squared(uh, sym2 * weights)
     outside = grid.radius > state.time + config.support_radius
     return StepRecord(
         t=state.time,
-        l2_u=l2_u,
-        h1_u=math.sqrt(l2_u**2 + grad2),
-        l2_du=math.sqrt(l2_ut2 + grad2),
-        forcing_l2=forcing_l2,
+        l2_u=math.sqrt(l2_u2),
+        h1_u=math.sqrt(l2_u2 + grad2),
+        l2_du=math.sqrt(squared(vh) + grad2),
+        forcing_l2=math.sqrt(squared(fh)),
         exterior_mass=math.sqrt(grid.cell_sum(state.u**2, where=outside)),
     )
 
@@ -621,11 +631,10 @@ def _parent_run(config, power=_parent_power_p):
     """
     grid = config.grid
     M, dt, p = config.n_steps, config.dt, config.p
-    l2 = lambda field: math.sqrt(grid.cell_sum(field**2))
     state0 = make_initial_data(config)
     uh = grid.to_spectrum(state0.u)
     vh = grid.to_spectrum(state0.v)
-    records = [_parent_record(config, state0, uh, 0.0)]
+    records = [_parent_record(config, state0, uh, vh, np.zeros_like(uh))]
     spectra, forcings = [uh], [np.zeros(grid.shape)]
     matrix = stepper_mod.StepCoefficients(grid, dt).matrix
 
@@ -693,7 +702,7 @@ def _parent_run(config, power=_parent_power_p):
             gh = grid.to_spectrum(block[k])
             fh_start = np.add(kh, w * gh, out=kh)
             state = stepper_mod.FieldState(grid, u, v, t_next)
-            records.append(_parent_record(config, state, uh, l2(forcing)))
+            records.append(_parent_record(config, state, uh, vh, fh_start))
             spectra.append(uh)
             forcings.append(forcing)
             if detect_blowup(records[-1], records[0], config.blowup_threshold):
@@ -708,11 +717,17 @@ def _parent_run(config, power=_parent_power_p):
     return stop(stepper_mod.RunStatus.completed())
 
 
+def _record_bytes(records):
+    return np.array([dataclasses.astuple(r) for r in records]).tobytes()
+
+
 def _assert_run_is_the_parent_loop(config, power=_parent_power_p):
     history, seen = collected_run(config)
     records, spectra, forcings, state, status = _parent_run(config, power)
     assert history.status == status
-    assert history.records == records
+    # bit for bit, NaN included: a forcing whose spectrum overflows has a
+    # NaN Parseval norm
+    assert _record_bytes(history.records) == _record_bytes(records)
     assert history.states[-1].u.tobytes() == state.u.tobytes()
     assert history.states[-1].v.tobytes() == state.v.tobytes()
     assert len(seen.forcing) == len(forcings) == len(spectra)
@@ -838,6 +853,27 @@ def test_overflow_after_growth_is_a_blow_up():
     assert 1e100 <= last < 1e200
     # the default threshold detects the same blow-up one step earlier
     assert run(small_config(amplitude=1.0, t_end=25.0)).status.t < history.status.t
+
+
+def test_nan_in_the_predictor_is_a_numerical_failure(monkeypatch):
+    # one NaN in the predictor's u_hat of step 5 (finish's first call in a
+    # step is the predictor's) spreads over the predicted |u|^p; the step's
+    # end forcing is then NaN and the run must stop there, not complete
+    finish, calls = stepper_mod.StepCoefficients.finish, []
+
+    def poisoned(row, f1h):
+        out = finish(row, f1h)
+        if len(calls) == 3 * 4:
+            out.flat[3] = np.nan
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(stepper_mod.StepCoefficients, "finish", staticmethod(poisoned))
+    config = small_config(p=2.5, amplitude=1e-2, t_end=2.0)
+    history = run(config)
+    assert history.status.phase is Phase.NUMERICAL_FAILURE
+    assert history.status.t == 5 * config.dt
+    assert len(history.records) == 5
 
 
 # ---------------------------------------------------------------------------
