@@ -17,13 +17,17 @@ direct sum.
 A step applies one precomputed per-mode propagator
 (:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
 start-forcing products are formed once for both passes, and costs six
-transforms in any dimension (FFTs on the full grid, DCT-Is on the even
-one): the known part of the memory sum, the predicted u and its |u|^p, the
-new u and v, and the new |u|^p sample; a linear step, the same one with the
-forcing held at zero, costs two.  The records take ||u||_2, ||grad u||_2,
-||u_t||_2 and ||f||_2 from the step's spectra by Parseval, so the only other
-transforms are observers' (the CLI's run table takes one per gradient
-component for each row's exterior energy).
+transforms in any dimension: the known part of the memory sum, the
+predicted u and its |u|^p, the new u and v, and the new |u|^p sample; a
+linear step, the same one with the forcing held at zero, costs two.  They
+are FFTs on the full grid and DCT-Is on the even one, where an axis of at
+most 257 stored points (``spectral._DENSE_AXIS``, every 2-D and 3-D CLI
+default) takes each transform as one matrix product per axis in numpy's
+OpenBLAS, and a longer one (the 1-D default's 2049) goes through
+pocketfft.  The records take ||u||_2, ||grad u||_2, ||u_t||_2 and ||f||_2
+from the step's spectra by Parseval, so the only other transforms are
+observers' (the CLI's run table takes one per gradient component for each
+row's exterior energy).
 
 :func:`run` keeps per-node norms only.  Whatever else a consumer needs from
 the nodes (CSV rows, weak-form pairings) it accumulates as an observer that
@@ -250,10 +254,15 @@ def make_initial_data(config: ScenarioConfig) -> FieldState:
     ||u0||_H1 + ||u1||_2 equals ``amplitude`` exactly (zero amplitude gives
     the zero state).
 
-    The core width is support_radius / 7, so the grid cutoff frequency must
-    reach about 7 / width (points_per_dim >= ~14 * half_length /
-    support_radius) for the spectral support ringing to stay below
-    :data:`EXTERIOR_MASS_BUDGET`.
+    The core width is support_radius / 7.  For the spectral support ringing
+    to stay below :data:`EXTERIOR_MASS_BUDGET`, support_radius / dx must
+    reach about 13 for ``gaussian_bump`` and 21 for ``plateau``, that is
+    points_per_dim >= ~26 and ~43 times half_length / support_radius
+    (measured on linear even-grid runs at gamma = 0.9, support_radius = 4,
+    half_length = 59: the largest exterior mass over the run, relative to
+    ||u||_2, falls below the budget between support_radius / dx = 10.8 and
+    13.0 for the bump in 1-D and 2-D, and between 17.4 and 21.7 for the
+    plateau in 1-D).
     """
     grid = config.grid
     if config.data_shape == "custom":
@@ -379,24 +388,30 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
     return _BLOCK, exponential_sum_terms(config.dt, M * config.dt, config.gamma)
 
 
-#: Grid-sized arrays a run holds at its peak besides the memory sum's
-#: arrays, with the nonlinearity on or off, in two kinds.  Fields and
-#: spectra: the kept states, u's, v's and the forcing's spectra, the known
-#: part, the propagator's four row products, the grid's cached geometry and
-#: the products and transforms' outputs in flight in a step.  Real per-mode
-#: arrays: the step matrix and the temporaries that build it, |xi|^2 and the
-#: Parseval weights, half a field each on the full grid (its last axis is
-#: halved) and a whole one on the even grid.  tracemalloc puts the two kinds
-#: at 20-27 fields on full 1-, 2- and 3-D grids of 1024 to 32768 points with
-#: the nonlinearity on (13-22 with it off) and at 33-38 on even 2- and 3-D
-#: grids of 1089 to 35937 points, direct and blocked.  The estimate counts
-#: 30 of the first kind and 15 of the second; tests/test_stepper.py checks
-#: that it bounds the peak.
-_WORKING_ARRAYS = 30
-_MODE_ARRAYS = 15
+#: Arrays a run holds at its peak besides the memory sum's, in three kinds.
+#: Fields and spectra: the kept states, u's, v's and the forcing's spectra,
+#: the known part, the propagator's four row products, the grid's cached
+#: geometry and the products and transforms' outputs in flight in a step,
+#: fewer in a linear step, which has no known part, predictor or |u|^p
+#: sample.  Real per-mode arrays: the step matrix and the temporaries that
+#: build it, |xi|^2 and the Parseval weights, half a field each on the full
+#: grid (its last axis is halved) and a whole one on the even grid.  The n x
+#: n matrices of the even grid's matrix transforms: the three it caches and
+#: the temporaries that build the last (8.1 matrices at the peak for n =
+#: 257).  The counts, 25 fields with the nonlinearity on and 12 with it
+#: off, 30 per-mode arrays and 9 matrices, are the integers that exceed
+#: tracemalloc's peak by 8 % or more in every run of
+#: test_memory_estimate_bounds_traced_peak (full 1-, 2- and 3-D grids of
+#: 1024 to 32768 points and even ones of 257 to 35937 stored points, direct
+#: and blocked, with the nonlinearity on and off) and overshoot it least:
+#: the estimate comes to 1.09-1.42 times the peak.
+_WORKING_ARRAYS = 25
+_LINEAR_WORKING_ARRAYS = 12
+_MODE_ARRAYS = 30
+_MATRIX_ARRAYS = 9
 #: bytes per node outside the arrays (a StepRecord, product weights) and
 #: bytes independent of the grid and the step count (numpy's ufunc buffers
-#: among them), fitted with the two counts above
+#: among them), fitted with the counts above
 _NODE_BYTES = 400
 _FIXED_BYTES = 64 * 1024
 
@@ -408,8 +423,9 @@ def memory_estimate(config: ScenarioConfig) -> int:
     the points the grid stores.  A longer one keeps one block of samples,
     the Q exponential histories and the block's history part, (Q + 2B + 1) *
     N doubles, plus two Q x (B + 1) weight matrices.  Everything else is
-    O(N) working arrays plus a few hundred bytes of records per node.  What
-    observers keep is their own and not included.
+    O(N) working arrays, the n x n matrices of an even grid's matrix
+    transforms (n points per stored axis) and a few hundred bytes of records
+    per node.  What observers keep is their own and not included.
     """
     grid = config.grid
     points = math.prod(grid.shape)
@@ -423,7 +439,11 @@ def memory_estimate(config: ScenarioConfig) -> int:
         if terms:
             memory += (terms + block) * points * 8 + 2 * terms * (block + 1) * 8
     array = max(points * 8, modes * grid.spectrum_dtype.itemsize)
-    working = _WORKING_ARRAYS * array + _MODE_ARRAYS * modes * 8
+    fields = _WORKING_ARRAYS if nonlinear else _LINEAR_WORKING_ARRAYS
+    working = (
+        fields * array + _MODE_ARRAYS * modes * 8
+        + _MATRIX_ARRAYS * grid.transform_matrix_bytes
+    )
     return memory + working + nodes * _NODE_BYTES + _FIXED_BYTES
 
 

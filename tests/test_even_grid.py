@@ -11,8 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from memwave import cli, diagnostics, stepper
+from memwave import cli, diagnostics, spectral, stepper
 from memwave.frac_ops import FracOrder
 from memwave.spectral import FieldState, SpatialGrid
 from memwave.stepper import Phase, ScenarioConfig
@@ -292,3 +293,131 @@ def test_custom_orthant_samples_reproduce_the_preset_run():
     for name in ("u", "v"):
         got, want = getattr(h_custom.states[-1], name), getattr(h_preset.states[-1], name)
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the matrix transforms against pocketfft, on both sides of the crossover
+# ---------------------------------------------------------------------------
+
+def _odd_field(spectrum: np.ndarray, axis: int) -> np.ndarray:
+    """pocketfft's field of a spectrum odd along ``axis``: DST-I on that
+    axis's interior modes and points, DCT-I along the others, zero at both
+    ends of the odd axis."""
+    interior = (slice(None),) * axis + (slice(1, -1),)
+    field = np.zeros(spectrum.shape)
+    field[interior] = scipy.fft.idst(spectrum[interior], type=1, axis=axis)
+    others = [a for a in range(spectrum.ndim) if a != axis]
+    return scipy.fft.idctn(field, type=1, axes=others) if others else field
+
+
+# A matrix product sums n terms per output where pocketfft sums log n
+# levels; both stay within a few ulps of the largest output.  Measured on
+# the random data below: at most 1.3e-15 of it (6 ulps, at 257^2).  The
+# bound allows 40 ulps.
+TRANSFORM_RTOL = 40 * np.finfo(float).eps
+
+
+def _assert_transform(got, want, dense):
+    if dense:
+        assert np.abs(got - want).max() <= TRANSFORM_RTOL * np.abs(want).max()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", ["at", "above"])
+@pytest.mark.parametrize(
+    "dim,crossover",
+    # the 3-D crossover is moved to 33 points, as 257^3 would need 136 MB
+    # per array
+    [(1, None), (2, None), (3, 33)],
+    ids=["1-D", "2-D", "3-D-at-33"],
+)
+def test_matrix_transforms_match_pocketfft(monkeypatch, dim, crossover, side):
+    if crossover is not None:
+        monkeypatch.setattr(spectral, "_DENSE_AXIS", crossover)
+    n = spectral._DENSE_AXIS + (side == "above")
+    grid = SpatialGrid(dim, 8.0, 2 * (n - 1), even=True)
+    dense = side == "at"
+    assert grid.shape == (n,) * dim
+    assert grid.transform_matrix_bytes == (n * n * 8 if dense else 0)
+    assert full_of(grid).transform_matrix_bytes == 0
+    u = np.random.default_rng(dim).standard_normal(grid.shape)
+    spec = grid.to_spectrum(u)
+    _assert_transform(spec, scipy.fft.dctn(u, type=1), dense)
+    _assert_transform(grid.to_field(spec), scipy.fft.idctn(spec, type=1), dense)
+    total = np.zeros(grid.shape)
+    for axis, sym in enumerate(grid.grad_symbols):
+        component = grid.to_field(sym * spec, odd_axis=axis)
+        want = _odd_field(sym * spec, axis)
+        _assert_transform(component, want, dense)
+        assert not np.take(component, [0, -1], axis=axis).any()
+        total += want**2
+    # Parseval, from the path's own spectrum
+    assert close(grid.l2_squared(spec), grid.cell_sum(u**2))
+    assert close(grid.l2_squared(spec, grid.gradient_weights), grid.cell_sum(total))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dense", [True, False], ids=["matrix", "pocketfft"])
+@np.errstate(invalid="ignore")
+def test_a_non_finite_value_reaches_the_transform(monkeypatch, dense, bad):
+    # the step loop's finiteness checks read the fields the transforms
+    # return; like the loop, the test silences the invalid-value warning
+    # that inf * 0 raises in a product
+    monkeypatch.setattr(spectral, "_DENSE_AXIS", 10**6 if dense else 0)
+    for dim in (1, 2, 3):
+        grid = SpatialGrid(dim, 8.0, 16, even=True)
+        u = even_field(grid, 0)
+        for index in ((0,) * dim, (3,) * dim, (grid.shape[0] - 1,) * dim):
+            field = u.copy()
+            field[index] = bad
+            assert not np.isfinite(grid.to_spectrum(field)).all()
+            spec = grid.to_spectrum(u)
+            spec[index] = bad
+            assert not np.isfinite(grid.to_field(spec)).all()
+        # an odd axis's end modes drop out (pocketfft never reads them), so
+        # the bad value goes into an interior mode
+        spec = grid.to_spectrum(u)
+        spec[(3,) * dim] = bad
+        for axis in range(dim):
+            assert not np.isfinite(grid.to_field(spec, odd_axis=axis)).all()
+
+
+def _path_tables(monkeypatch, grid, **overrides):
+    """The run of one scenario with matrix transforms and with pocketfft."""
+    config = ScenarioConfig(grid=grid, gamma=0.9, dt=0.05, **overrides)
+    tables = []
+    for crossover in (10**6, 0):
+        monkeypatch.setattr(spectral, "_DENSE_AXIS", crossover)
+        tables.append(_table(config))
+    return tables
+
+
+def test_3d_run_takes_the_same_course_on_either_path(monkeypatch):
+    # 60 steps in blocks, p = 2.5: every run-table column within 1e-12
+    # relative; the exterior mass also within 1e-15 of ||u||_2, the floor
+    # where it is only the transforms' round-off
+    grid = SpatialGrid(3, 8.0, 32, even=True)
+    (h_dense, rows_dense), (h_fft, rows_fft) = _path_tables(
+        monkeypatch, grid, p=2.5, support_radius=3.0, amplitude=1.0, t_end=3.0
+    )
+    assert h_fft.status.phase is Phase.COMPLETED and h_dense.status == h_fft.status
+    assert len(rows_dense) == len(rows_fft) == 61
+    for got, want in zip(rows_dense, rows_fft):
+        for column in cli.RUN_COLUMNS:
+            floor = 1e-15 * want["l2_u"] if column == "exterior_mass" else 0.0
+            gap = abs(got[column] - want[column])
+            assert close(got[column], want[column]) or gap <= floor, column
+    for name in ("u", "v"):
+        want = getattr(h_fft.states[-1], name)
+        got = getattr(h_dense.states[-1], name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_3d_blow_up_keeps_its_detection_time_on_either_path(monkeypatch):
+    grid = SpatialGrid(3, 8.0, 32, even=True)
+    (h_dense, _), (h_fft, _) = _path_tables(
+        monkeypatch, grid, p=1.5, support_radius=3.0, amplitude=2.0, t_end=25.0
+    )
+    assert h_fft.status.phase is Phase.BLOWUP_DETECTED
+    assert h_dense.status == h_fft.status  # the same phase and the exact t

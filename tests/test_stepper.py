@@ -895,6 +895,10 @@ def test_nan_in_the_predictor_is_a_numerical_failure(monkeypatch):
         pytest.param(2, 128, 2.0, True, id="2-128-even"),
         pytest.param(3, 32, 1.5, True, id="3-32-even-direct"),
         pytest.param(3, 64, 2.0, True, id="3-64-even"),
+        # 257 stored points, the longest axis of the matrix transforms, whose
+        # matrices outweigh the fields; 513 stored points through pocketfft
+        pytest.param(1, 512, 2.0, True, id="1-512-even"),
+        pytest.param(1, 1024, 2.0, True, id="1-1024-even"),
     ],
 )
 def test_memory_estimate_bounds_traced_peak(dim, points, t_end, even, nonlinear):
