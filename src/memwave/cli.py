@@ -9,7 +9,6 @@ manifests produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import math
 import sys
@@ -107,7 +106,6 @@ class RunManifest:
     delta: float
     sweep_axes: dict[str, tuple[float, ...]] = field(default_factory=dict)
     gamma_grid: tuple[float, ...] = ()
-    workers: int = 1
     full_resolution: bool = False
 
 
@@ -513,55 +511,27 @@ def _sweep_entries(manifest: RunManifest) -> list[stepper.ScenarioConfig]:
 
 
 def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
-    """Run every entry; an entry that raises becomes an ``error`` row.
+    """Run the entries one at a time; one that raises becomes an ``error`` row.
 
     The exception's class goes to the entry's ``flag`` and its message to a
     note in summary.txt; the other entries complete and are written as usual.
-    Parallel entries are capped at as many copies of the largest entry's
-    :func:`stepper.memory_estimate` as physical memory holds (at least one),
-    and a binding cap is noted in summary.txt.
     """
     report = SummaryReport("sweep", summary_columns=SUMMARY_COLUMNS)
-    entries = _sweep_entries(manifest)
-
-    def _one(scenario: stepper.ScenarioConfig):
-        try:
-            return _simulate_rows(scenario, manifest)
-        except Exception as exc:  # the other entries must still complete
-            return exc
-
-    workers = manifest.workers
-    if workers > 1:
-        largest = max(stepper.memory_estimate(s) for s in entries)
-        available = stepper._physical_memory()
-        fit = max(1, available // largest)
-        if fit < workers:
-            report.notes.append(
-                f"workers capped at {fit} of {workers}: the largest entry needs "
-                f"about {largest / 2**30:.1f} GiB of {available / 2**30:.1f} GiB "
-                "physical memory"
-            )
-            workers = fit
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            outcomes = list(pool.map(_one, entries))
-    else:
-        outcomes = [_one(s) for s in entries]
-
     map_rows = []
-    for index, (scenario, outcome) in enumerate(zip(entries, outcomes)):
+    for index, scenario in enumerate(_sweep_entries(manifest)):
         label = f"run_{index:03d}"
         verdict = criticality.classify(
             scenario.dim, scenario.gamma, scenario.p, _traits_for(scenario)
         )
-        if isinstance(outcome, Exception):
+        try:
+            history, rows = _simulate_rows(scenario, manifest)
+        except Exception as exc:  # the other entries must still complete
             summary = _scenario_row(label, scenario)
             summary["status"] = "error"
-            _add_flag(summary, type(outcome).__name__)
-            report.notes.append(f"{label} failed: {type(outcome).__name__}: {outcome}")
+            _add_flag(summary, type(exc).__name__)
+            report.notes.append(f"{label} failed: {type(exc).__name__}: {exc}")
             rows = None
         else:
-            history, rows = outcome
             summary = _summarize_run(label, scenario, history)
             completed = history.status.phase is stepper.Phase.COMPLETED
             if verdict.tag == "BlowUpPositiveData" and completed:
@@ -806,8 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=Path, default=None, help="config file path")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
-        if name == "sweep":
-            cmd.add_argument("--workers", type=int, default=1, help="parallel sweep entries")
         if name in ("simulate", "sweep"):
             cmd.add_argument("--full-resolution", action="store_true",
                              help="emit every time step instead of striding to 5000 rows")
@@ -822,9 +790,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             manifest = replace(manifest, output_dir=args.out)
         manifest = replace(
-            manifest,
-            workers=max(1, getattr(args, "workers", 1)),
-            full_resolution=getattr(args, "full_resolution", False),
+            manifest, full_resolution=getattr(args, "full_resolution", False)
         )
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -348,16 +348,22 @@ def _make_record(
 ) -> StepRecord:
     """Norms of ``state`` and of the forcing at its node, by Parseval from
     the spectra ``uh``, ``vh`` and ``fh`` of u, v and the forcing; only the
-    exterior mass is summed over the physical grid."""
+    exterior mass is summed over the physical grid.  A forcing whose
+    spectrum squares past the float range takes its norm from the spectrum
+    scaled by its largest modulus, which is inf only if the norm is."""
     grid = config.grid
     l2_u2 = grid.l2_squared(uh)
     grad2 = grid.l2_squared(uh, grid.gradient_weights)
+    forcing_l2 = math.sqrt(grid.l2_squared(fh))
+    if not math.isfinite(forcing_l2):
+        scale = float(np.max(np.abs(fh)))
+        forcing_l2 = scale * math.sqrt(grid.l2_squared(fh / scale))
     return StepRecord(
         t=state.time,
         l2_u=math.sqrt(l2_u2),
         h1_u=math.sqrt(l2_u2 + grad2),
         l2_du=math.sqrt(grid.l2_squared(vh) + grad2),
-        forcing_l2=math.sqrt(grid.l2_squared(fh)),
+        forcing_l2=forcing_l2,
         exterior_mass=grid.exterior_l2(state.u, state.time + config.support_radius),
     )
 
@@ -462,7 +468,7 @@ def _fold_block(
     rewrites it, so the fold allocates no Q x N array.  It goes through
     numpy's BLAS like every other product of the step loop: numpy and scipy
     each bundle an OpenBLAS with its own thread pool, and mixing the two in
-    one loop makes their spinning workers compete for the cores.
+    one loop makes their spinning threads compete for the cores.
     """
     modes *= decay
     rows = len(scratch)

@@ -255,6 +255,7 @@ def test_gamma_grid_out_of_range_is_a_config_error(tmp_path):
 @pytest.mark.parametrize(
     "subcommand,flag",
     [
+        ("sweep", "--workers=2"),
         ("simulate", "--workers=2"),
         ("classify", "--workers=2"),
         ("verify", "--workers=2"),
@@ -265,7 +266,8 @@ def test_gamma_grid_out_of_range_is_a_config_error(tmp_path):
     ],
 )
 def test_flag_of_another_subcommand_exits_two(subcommand, flag):
-    # --workers acts on sweep only, --full-resolution on simulate and sweep
+    # --full-resolution acts on simulate and sweep only; --workers on none,
+    # since sweep entries run one at a time
     with pytest.raises(SystemExit) as excinfo:
         main([subcommand, flag])
     assert excinfo.value.code == 2
@@ -364,52 +366,6 @@ def test_sweep_transition_across_critical_exponents(tmp_path):
         assert by_p[p]["verdict"] == "BlowUpPositiveData"
         assert by_p[p]["status"] == "blowup_detected" or by_p[p]["flag"] == "horizon_too_short"
     assert by_p[4.5]["verdict"] == "GlobalSmallData"
-
-
-def test_sweep_workers_do_not_change_outputs(tmp_path):
-    _, out1 = run_cli(tmp_path / "a", SWEEP_CONFIG, "sweep")
-    _, out2 = run_cli(tmp_path / "b", SWEEP_CONFIG, "sweep", "--workers", "2")
-    assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
-    assert (out1 / "regime_map.csv").read_bytes() == (out2 / "regime_map.csv").read_bytes()
-
-
-@pytest.mark.parametrize("fits,pool", [(2.5, 2), (9.0, 3), (0.5, None)])
-def test_sweep_workers_are_capped_by_physical_memory(tmp_path, monkeypatch, fits, pool):
-    # three entries on three workers, with physical memory for 2.5, 9 or 0.5
-    # copies of the largest entry: a pool of 2, of 3, or no pool at all
-    _, clean = run_cli(tmp_path / "clean", SWEEP_THREE, "sweep")
-    entries = cli_mod._sweep_entries(parse_config(SWEEP_THREE, "sweep"))
-    largest = max(stepper.memory_estimate(s) for s in entries)
-    available = int(fits * largest)
-    monkeypatch.setattr(stepper, "_physical_memory", lambda: available)
-    pools = []
-    real_pool = cli_mod.concurrent.futures.ThreadPoolExecutor
-
-    def spy(workers):
-        pools.append(workers)
-        return real_pool(workers)
-
-    monkeypatch.setattr(cli_mod.concurrent.futures, "ThreadPoolExecutor", spy)
-    code, out = run_cli(tmp_path / "capped", SWEEP_THREE, "sweep", "--workers", "3")
-    assert code == 0
-    assert pools == ([] if pool is None else [pool])
-    notes = [line for line in (out / "summary.txt").read_text().splitlines()
-             if line.startswith("note: workers capped")]
-    if pool == 3:
-        assert notes == []
-    else:
-        assert notes == [
-            f"note: workers capped at {pool or 1} of 3: the largest entry needs "
-            f"about {largest / 2**30:.1f} GiB of {available / 2**30:.1f} GiB "
-            "physical memory"
-        ]
-    if pool is None:
-        # one worker, and each entry still refuses to run on its own
-        statuses = [row["status"] for row in read_csv(out / "summary.csv")]
-        assert statuses == ["error"] * 3
-    else:
-        for name in ("summary.csv", "regime_map.csv"):
-            assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_full_resolution_flag(tmp_path):
@@ -626,6 +582,23 @@ def test_sweep_entry_error_leaves_other_entries_intact(tmp_path, monkeypatch):
             if not line.startswith("run_001,")]
     assert (broken / "long.csv").read_text().splitlines() == kept
     assert "run_001 failed: RuntimeError: injected failure" in (broken / "summary.txt").read_text()
+
+
+def test_sweep_entry_larger_than_physical_memory_is_an_error_row(tmp_path, monkeypatch):
+    # every entry needs more than the machine has: each refuses to run on
+    # its own and becomes an error row, and the report is still written
+    entries = cli_mod._sweep_entries(parse_config(SWEEP_THREE, "sweep"))
+    available = min(stepper.memory_estimate(s) for s in entries) - 1
+    monkeypatch.setattr(stepper, "_physical_memory", lambda: available)
+    code, out = run_cli(tmp_path, SWEEP_THREE, "sweep")
+    assert code == 0
+    for name in ("summary.csv", "regime_map.csv"):
+        rows = read_csv(out / name)
+        assert [(r["status"], r["flag"]) for r in rows] == [("error", "ValueError")] * 3
+    notes = (out / "summary.txt").read_text()
+    for index in range(3):
+        assert f"run_{index:03d} failed: ValueError: run needs about" in notes
+    assert not list(out.glob("run_*.csv"))
 
 
 # ---------------------------------------------------------------------------

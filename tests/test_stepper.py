@@ -366,6 +366,22 @@ def test_records_match_gradients_of_stored_states(dim, points, even):
         assert record.forcing_l2 == pytest.approx(grid.l2_norm(forcing), rel=1e-12)
 
 
+@pytest.mark.parametrize("even", [False, True], ids=["full", "even"])
+def test_forcing_norm_is_finite_when_its_spectrum_squares_overflow(even):
+    # the last record before the blow-up has a forcing of max 2.8e209: its
+    # spectrum's squares overflow, while its L2 norm is finite
+    grid = SpatialGrid(1, 32.0, 256, even=even)
+    config = small_config(grid=grid, amplitude=1.0, t_end=25.0, blowup_threshold=1e200)
+    history, seen = collected_run(config)
+    assert history.status.phase is Phase.BLOWUP_DETECTED
+    assert all(math.isfinite(r.forcing_l2) for r in history.records)
+    forcing = seen.forcing[-1]
+    scale = np.max(np.abs(forcing))
+    assert scale > 1e200
+    norm = scale * math.sqrt(grid.cell_sum(np.square(forcing / scale)))
+    assert history.records[-1].forcing_l2 == pytest.approx(norm, rel=1e-10)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5, 2.718281828])
 def test_power_p_bit_identical_to_gathered_form(p):
     # _power_p is numpy's power of |u| bit for bit, in place as into a new
@@ -611,13 +627,17 @@ def _parent_record(config, state, uh, vh, fh):
         return float(np.vdot(spectrum, w * spectrum).real)
 
     l2_u2, grad2 = squared(uh), squared(uh, sym2 * weights)
+    forcing_l2 = math.sqrt(squared(fh))
+    if not math.isfinite(forcing_l2):  # the squares overflow: scale them
+        scale = float(np.max(np.abs(fh)))
+        forcing_l2 = scale * math.sqrt(squared(fh / scale))
     outside = grid.radius > state.time + config.support_radius
     return StepRecord(
         t=state.time,
         l2_u=math.sqrt(l2_u2),
         h1_u=math.sqrt(l2_u2 + grad2),
         l2_du=math.sqrt(squared(vh) + grad2),
-        forcing_l2=math.sqrt(squared(fh)),
+        forcing_l2=forcing_l2,
         exterior_mass=math.sqrt(grid.cell_sum(state.u**2, where=outside)),
     )
 
@@ -725,8 +745,7 @@ def _assert_run_is_the_parent_loop(config, power=_parent_power_p):
     history, seen = collected_run(config)
     records, spectra, forcings, state, status = _parent_run(config, power)
     assert history.status == status
-    # bit for bit, NaN included: a forcing whose spectrum overflows has a
-    # NaN Parseval norm
+    # bit for bit, NaN included
     assert _record_bytes(history.records) == _record_bytes(records)
     assert history.states[-1].u.tobytes() == state.u.tobytes()
     assert history.states[-1].v.tobytes() == state.v.tobytes()
