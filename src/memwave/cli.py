@@ -392,8 +392,8 @@ def _summarize_run(
     times = history.times
     l2_du = history.record_array("l2_du")
     if history.status.phase is stepper.Phase.COMPLETED:
-        weights = (1.0 + times) ** diagnostics.energy_weight_exponent(n, scenario.gamma)
-        row["sup_W"] = float(np.max(weights * l2_du))
+        W = diagnostics.energy_W_from_norm(times, l2_du, n, scenario.gamma)
+        row["sup_W"] = float(np.max(W))
         try:
             fit = diagnostics.fit_decay_samples(
                 times, l2_du, _default_fit_window(scenario.t_end)

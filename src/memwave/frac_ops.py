@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def _trapezoid_terms(
     phi = x - np.exp(-x)
     rates = np.exp(phi) / horizon
     # weights times T^gamma; phi'(x) = 1 + e^(-x)
-    scaled = h * np.exp(gamma * phi) * (1.0 + np.exp(-x)) / _gamma(gamma)
+    scaled = h * np.exp(gamma * phi) * (1.0 + np.exp(-x)) / math.gamma(gamma)
     keep = (rates * dt < top) & (scaled > 1e-2 * SOE_CUTOFF)
     rates, scaled = rates[keep], scaled[keep]
     flat = rates * horizon < 1e-17
@@ -278,11 +277,12 @@ def _convolve_time(conv: np.ndarray, values: np.ndarray) -> np.ndarray:
     kernel = conv[1:M]
     if values.ndim == 1:
         full = np.convolve(kernel, values[1:M])
-    else:
-        from scipy.signal import fftconvolve
-
-        shape = (len(kernel),) + (1,) * (values.ndim - 1)
-        full = fftconvolve(kernel.reshape(shape), values[1:M], axes=0)
+    else:  # the full linear convolution along time, by real FFT
+        size = 2 * len(kernel) - 1
+        shape = (-1,) + (1,) * (values.ndim - 1)
+        with np.errstate(invalid="ignore"):  # numpy warns on +-inf
+            spec = np.fft.rfft(values[1:M], size, axis=0)
+            full = np.fft.irfft(np.fft.rfft(kernel, size).reshape(shape) * spec, size, axis=0)
     out[2:] = full[: M - 1]
     return out
 
@@ -302,7 +302,7 @@ def rl_integral(g: TimeSeries, order: FracOrder) -> TimeSeries:
     out += first.reshape(shape) * values[0]
     out[1:] += conv[0] * values[1:]
     out[0] = 0.0 * values[0]
-    out *= dt**alpha / _gamma(alpha)
+    out *= dt**alpha / math.gamma(alpha)
     finite = np.isfinite(out).all()
     return TimeSeries(g.grid, out, non_finite_ok=not finite)
 
@@ -435,7 +435,7 @@ def cutoff_deriv_closed_form(
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > T):
         raise ValueError("t outside [0, T]")
-    C = _gamma(sigma + 1.0) / _gamma(sigma - alpha - k + 1.0)
+    C = math.gamma(sigma + 1.0) / math.gamma(sigma - alpha - k + 1.0)
     vals = C * T ** (-sigma) * np.maximum(T - t_arr, 0.0) ** (sigma - alpha - k)
     return vals if t_arr.ndim else float(vals)
 
@@ -483,7 +483,7 @@ def inversion_residual(g: TimeSeries, order: FracOrder) -> float:
 
 def gamma_ratio(sigma: float, alpha: float, k: int = 0) -> float:
     """The constant Gamma(sigma+1) / Gamma(sigma-alpha-k+1)."""
-    return float(_gamma(sigma + 1.0) / _gamma(sigma - alpha - k + 1.0))
+    return float(math.gamma(sigma + 1.0) / math.gamma(sigma - alpha - k + 1.0))
 
 
 __all__ = [

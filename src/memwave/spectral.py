@@ -20,23 +20,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 _BRANCH = 0.25  # |xi|^2 at the branch circle
 _SERIES_Z = 1e-8  # switch to Taylor when |t^2 (|xi|^2 - 1/4)| is below this
 #: Longest stored axis (N/2 + 1 points) that the even grid transforms by
-#: matrix products (SpatialGrid._along_axes) instead of scipy's DCT-I/DST-I.
-#: A product costs about 2n flops per point and axis against the FFT's
-#: O(log n), but runs as a GEMM in numpy's OpenBLAS, while pocketfft pads a
-#: DCT-I of n points to an FFT of 2(n - 1) per line.  Measured on a 2-vCPU VM
-#: (numpy 2.4.6 with its OpenBLAS 0.3.31 on two threads, scipy 1.17.1):
-#: median of 22 alternating timings of one to_spectrum + to_field pair on
-#: random data, FFT time over matrix time, was 2.1, 1.2 and 0.77 at n = 129,
-#: 257 and 321 in 1-D; 1.3, 1.3, 1.15 and 0.95 at 129^2, 257^2, 321^2 and
-#: 385^2; 4.4, 2.1 and 1.9 at 33^3, 65^3 and 129^3.  257 is the longest axis
-#: that wins in every dimension.  With OPENBLAS_NUM_THREADS=1 the products
-#: lose at 193^2 (0.89) and 257^2 (0.71), tie at 257 in 1-D (1.02) and still
-#: win at 129^2 (1.13) and 33^3 (3.0).
+#: matrix products (SpatialGrid._along_axis) instead of real FFTs.  A product
+#: costs about 2n flops per point and axis against the FFT's O(log n), but
+#: runs as a GEMM in numpy's OpenBLAS, while the FFT path mirrors each line
+#: of n points to 2(n - 1).  Measured on a 2-vCPU VM (numpy 2.4.6 with its
+#: OpenBLAS 0.3.31 on two threads): median of 22 alternating timings of one
+#: to_spectrum + to_field pair on random data, FFT time over matrix time,
+#: was 1.6, 0.98 and 0.72 at n = 129, 257 and 321 in 1-D; 1.27, 1.11 and
+#: 1.08 at 257^2, 321^2 and 385^2; 4.5 and 6.4 at 33^3 and 65^3.  257 is
+#: the longest axis that loses in no dimension.  With OPENBLAS_NUM_THREADS=1
+#: the products tie at 257 in 1-D (0.98), lose at 257^2 (0.91) and win at
+#: 129^2 (2.0), 193^2 (1.18) and 33^3 (7.5).
 _DENSE_AXIS = 257
 
 
@@ -48,8 +46,8 @@ def _cos_pi(m: np.ndarray, q: int) -> np.ndarray:
     by up to 3e-16, the rounding of an angle up to 2 pi.  A field's small
     tail is a cancelling sum of matrix entries times its large modes, and
     such entries put the exterior mass of an even 2-D run (32 points)
-    1.2e-12 of itself off the full grid's, against 0.2e-12 for scipy's DCT-I
-    and 0.07e-12 for entries from this reduction.
+    1.2e-12 of itself off the full grid's, against 0.2e-12 for pocketfft's
+    DCT-I and 0.07e-12 for entries from this reduction.
     """
     m = np.abs(m) % (2 * q)
     m = np.minimum(m, 2 * q - m)  # [0, q]: cos is even and 2 pi periodic
@@ -76,9 +74,9 @@ class SpatialGrid:
     :data:`_DENSE_AXIS` stored points (the CLI's 2-D and 3-D defaults among
     them) take the DCT-I, and the DST-I of an odd axis, as one product per
     axis with a cached n x n matrix in numpy's multithreaded OpenBLAS;
-    longer axes go through scipy.fft (pocketfft), as the full grid always
-    does.  Every sum over cells counts a
-    stored point once for each full-grid point it stands for.
+    longer axes take numpy's real FFT of the axis mirrored about both ends,
+    and the full grid numpy's rfftn.  Every sum over cells counts a stored
+    point once for each full-grid point it stands for.
     ``points_per_dim`` names the full grid either way.
     """
 
@@ -103,7 +101,7 @@ class SpatialGrid:
     def cell_volume(self) -> float:
         return self.dx**self.dim
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         if self.even:
             return (self.points_per_dim // 2 + 1,) * self.dim
@@ -207,16 +205,16 @@ class SpatialGrid:
 
     @property
     def transform_matrix_bytes(self) -> int:
-        """Bytes of each of the three n x n matrices the dense transforms
-        cache (:attr:`_dct_matrix`, :attr:`_idct_matrix`,
-        :attr:`_idst_matrix`); 0 on a grid that transforms by FFT."""
+        """Bytes of each of the two n x n matrices the dense transforms cache
+        (:attr:`_dct_matrix`, :attr:`_dst_matrix`); 0 on a grid that
+        transforms by FFT."""
         return self.shape[0] ** 2 * 8 if self._dense else 0
 
     @cached_property
     def _dct_matrix(self) -> np.ndarray:
-        """DCT-I along a stored axis of n points, scipy's unnormalized one, as
-        a matrix: 2 cos(pi k j / (n - 1)), with column 0 equal to 1 and column
-        n - 1 to (-1)^k."""
+        """DCT-I along a stored axis of n points, pocketfft's unnormalized
+        one, as a matrix: 2 cos(pi k j / (n - 1)), with column 0 equal to 1
+        and column n - 1 to (-1)^k."""
         n = self.shape[0]
         k = np.arange(n)
         fwd = 2.0 * _cos_pi(np.outer(k, k), n - 1)
@@ -225,42 +223,62 @@ class SpatialGrid:
         return fwd
 
     @cached_property
-    def _idct_matrix(self) -> np.ndarray:
-        """The inverse of :attr:`_dct_matrix`, scipy's inverse DCT-I."""
-        return self._dct_matrix / (2 * (self.shape[0] - 1))
-
-    @cached_property
-    def _idst_matrix(self) -> np.ndarray:
-        """sin(pi j k / (n - 1)) / (n - 1): the field at point j of an odd
-        axis from its sine modes k, scipy's inverse DST-I on the interior
-        modes and points.  Rows and columns 0 and n - 1 are sin(pi k) = 0,
-        exact after the reduction in :func:`_cos_pi`, so the field vanishes at
-        both ends of the axis and the end modes drop out."""
+    def _dst_matrix(self) -> np.ndarray:
+        """DST-I along an odd stored axis of n points, unnormalized like
+        :attr:`_dct_matrix`: 2 sin(pi j k / (n - 1)).  Rows and columns 0 and
+        n - 1 are sin(pi k) = 0, exact after the reduction in :func:`_cos_pi`,
+        so the end modes drop out and the field vanishes at both ends."""
         n = self.shape[0]
         k = np.arange(n)
         # sin(pi m / q) = cos(pi (2m - q) / (2q))
-        return _cos_pi(2 * np.outer(k, k) - (n - 1), 2 * (n - 1)) / (n - 1)
+        return 2.0 * _cos_pi(2 * np.outer(k, k) - (n - 1), 2 * (n - 1))
 
-    def _along_axes(self, x: np.ndarray, matrices: list[np.ndarray]) -> np.ndarray:
-        """``x`` with ``matrices[a]`` applied along each axis a: one GEMM per
-        axis (a stack of them on the middle axis of a 3-D grid).  As quiet as
-        pocketfft on non-finite input: inf * 0 in a product warns nothing."""
+    def _along_axis(self, x: np.ndarray, axis: int, odd: bool) -> np.ndarray:
+        """The DCT-I of ``x`` along ``axis``, or its DST-I when ``odd``.
+
+        A dense grid takes one GEMM (a stack of them on the middle axis of a
+        3-D grid).  A longer axis takes the real FFT of the axis mirrored
+        about both ends, as pocketfft does: evenly for the DCT-I, whose
+        values are the real parts, and oddly with the end points zeroed for
+        the DST-I, whose values are minus the imaginary parts (0 - imag, so
+        both ends stay +0.0).
+        """
         n = self.shape[0]
-        with np.errstate(invalid="ignore"):
-            for axis, mat in enumerate(matrices):
-                after = n ** (self.dim - 1 - axis)
-                if after == 1:
-                    x = np.matmul(x.reshape(-1, n), mat.T)
-                else:
-                    x = np.matmul(mat, x.reshape(-1, n, after))
-        return x.reshape(self.shape)
-
-    def to_spectrum(self, field: np.ndarray) -> np.ndarray:
-        if not self.even:
-            return scipy.fft.rfftn(field)
         if self._dense:
-            return self._along_axes(field, [self._dct_matrix] * self.dim)
-        return scipy.fft.dctn(field, type=1)
+            mat = self._dst_matrix if odd else self._dct_matrix
+            after = n ** (self.dim - 1 - axis)
+            if after == 1:
+                return np.matmul(x.reshape(-1, n), mat.T).reshape(self.shape)
+            return np.matmul(mat, x.reshape(-1, n, after)).reshape(self.shape)
+        before = (slice(None),) * axis
+        mirror = x[before + (slice(-2, 0, -1),)]
+        if not odd:
+            return np.fft.rfft(np.concatenate([x, mirror], axis=axis), axis=axis).real
+        ext = np.concatenate([x, -mirror], axis=axis)
+        ext[before + (0,)] = ext[before + (n - 1,)] = 0.0
+        return 0.0 - np.fft.rfft(ext, axis=axis).imag
+
+    def _along_axes(
+        self, x: np.ndarray, odd_axis: int | None = None, inverse: bool = False
+    ) -> np.ndarray:
+        """``x`` with the DCT-I applied along every axis, the DST-I along
+        ``odd_axis``, which goes first.  ``inverse`` scales by 1/(2(n - 1))
+        per axis, once right after the odd axis and once right after the
+        first of the others, where pocketfft applies its factors."""
+        n = self.shape[0]
+        evens = [axis for axis in range(self.dim) if axis != odd_axis]
+        for group in [evens] if odd_axis is None else [[odd_axis], evens]:
+            for i, axis in enumerate(group):
+                x = self._along_axis(x, axis, axis == odd_axis)
+                if inverse and i == 0:
+                    x *= 1.0 / (2 * (n - 1)) ** len(group)
+        return x
+
+    # numpy warns on +-inf in an FFT or a product (inf * 0), where pocketfft
+    # stays silent; the step loop's finiteness checks read the results
+    def to_spectrum(self, field: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            return self._along_axes(field) if self.even else np.fft.rfftn(field)
 
     def to_field(self, spectrum: np.ndarray, odd_axis: int | None = None) -> np.ndarray:
         """The inverse of :meth:`to_spectrum`.
@@ -272,23 +290,10 @@ class SpatialGrid:
         where an odd field vanishes; the full grid's spectrum holds every mode
         either way.
         """
-        if not self.even:
-            return scipy.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(self.dim)))
-        if self._dense:
-            matrices = [self._idct_matrix] * self.dim
-            if odd_axis is not None:
-                matrices[odd_axis] = self._idst_matrix
-            return self._along_axes(spectrum, matrices)
-        if odd_axis is None:
-            return scipy.fft.idctn(spectrum, type=1)
-        interior = (slice(None),) * odd_axis + (slice(1, -1),)
-        others = [axis for axis in range(self.dim) if axis != odd_axis]
-        odd = scipy.fft.idst(spectrum[interior], type=1, axis=odd_axis)
-        if others:
-            odd = scipy.fft.idctn(odd, type=1, axes=others, overwrite_x=True)
-        field = np.zeros(self.shape)
-        field[interior] = odd
-        return field
+        with np.errstate(invalid="ignore"):
+            if self.even:
+                return self._along_axes(spectrum, odd_axis, inverse=True)
+            return np.fft.irfftn(spectrum, s=self.shape, axes=tuple(range(self.dim)))
 
     def cell_sum(self, values: np.ndarray, where: np.ndarray | None = None) -> float:
         """The integral of the grid-shaped ``values`` over the box: their sum

@@ -23,11 +23,11 @@ linear step, the same one with the forcing held at zero, costs two.  They
 are FFTs on the full grid and DCT-Is on the even one, where an axis of at
 most 257 stored points (``spectral._DENSE_AXIS``, every 2-D and 3-D CLI
 default) takes each transform as one matrix product per axis in numpy's
-OpenBLAS, and a longer one (the 1-D default's 2049) goes through
-pocketfft.  The records take ||u||_2, ||grad u||_2, ||u_t||_2 and ||f||_2
-from the step's spectra by Parseval, so the only other transforms are
-observers' (the CLI's run table takes one per gradient component for each
-row's exterior energy).
+OpenBLAS, and a longer one (the 1-D default's 2049) as numpy's real FFT
+of the axis mirrored about both ends.  The records take ||u||_2,
+||grad u||_2, ||u_t||_2 and ||f||_2 from the step's spectra by Parseval, so
+the only other transforms are observers' (the CLI's run table takes one
+per gradient component for each row's exterior energy).
 
 :func:`run` keeps per-node norms only.  Whatever else a consumer needs from
 the nodes (CSV rows, weak-form pairings) it accumulates as an observer that
@@ -44,7 +44,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .frac_ops import (
     exponential_hat_moments,
@@ -240,6 +239,7 @@ def _bump_profile(r: np.ndarray, radius: float, shape: str) -> np.ndarray:
     if shape == "gaussian_bump":
         core = np.exp(-(r**2) / (2.0 * w * w))
     elif shape == "plateau":
+        erfc = np.vectorize(math.erfc, otypes=[float])
         core = 0.5 * erfc((r - 0.5 * radius) / (math.sqrt(2.0) * 0.5 * w))
     else:  # pragma: no cover - guarded by config validation
         raise ValueError(f"no profile for shape {shape!r}")
@@ -402,19 +402,19 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
 #: sample.  Real per-mode arrays: the step matrix and the temporaries that
 #: build it, |xi|^2 and the Parseval weights, half a field each on the full
 #: grid (its last axis is halved) and a whole one on the even grid.  The n x
-#: n matrices of the even grid's matrix transforms: the three it caches and
-#: the temporaries that build the last (8.1 matrices at the peak for n =
+#: n matrices of the even grid's matrix transforms: the two it caches and
+#: the temporaries that build the second (7.1 matrices at the peak for n =
 #: 257).  The counts, 25 fields with the nonlinearity on and 12 with it
-#: off, 30 per-mode arrays and 9 matrices, are the integers that exceed
+#: off, 30 per-mode arrays and 8 matrices, are the integers that exceed
 #: tracemalloc's peak by 8 % or more in every run of
 #: test_memory_estimate_bounds_traced_peak (full 1-, 2- and 3-D grids of
 #: 1024 to 32768 points and even ones of 257 to 35937 stored points, direct
 #: and blocked, with the nonlinearity on and off) and overshoot it least:
-#: the estimate comes to 1.09-1.42 times the peak.
+#: the estimate comes to 1.10-1.40 times the peak.
 _WORKING_ARRAYS = 25
 _LINEAR_WORKING_ARRAYS = 12
 _MODE_ARRAYS = 30
-_MATRIX_ARRAYS = 9
+_MATRIX_ARRAYS = 8
 #: bytes per node outside the arrays (a StepRecord, product weights) and
 #: bytes independent of the grid and the step count (numpy's ufunc buffers
 #: among them), fitted with the counts above
