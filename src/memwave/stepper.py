@@ -5,14 +5,14 @@ stepwise Duhamel update: the linear flow is exact per Fourier mode, the
 memory forcing comes from product-integration weights, and the implicit
 endpoint forcing is resolved by a single predictor-corrector pass.
 
-A run of M steps on N points sums the memory in blocks of B = 32 steps:
+A run of M steps on N points sums the memory in blocks of B = 8 steps:
 exact weights within the block, and the history before it carried by Q
 exponentials fitted to (t-s)^(-gamma) on [dt, t_end] to 1e-9 relative
 (:func:`~memwave.frac_ops.exponential_sum`, one trapezoid rule: Q = 34 for
 t_end/dt = 200 and 42 for 3471 at gamma = 0.9), well inside the forcing's
-1e-8 budget.  That costs O(M (B + Q) N) time and O((Q + 2B) N) memory
-instead of O(M^2 N) and O(M N).  A run of at most B steps is one block: the
-direct sum.
+1e-8 budget.  That costs O(M (B + Q) N) time and (Q + 2B + 1) N doubles of
+memory (51 rows of N at Q = 34) instead of O(M^2 N) and (M + 1) N.  A run
+of at most B steps is one block: the direct sum.
 
 A step applies one precomputed per-mode propagator
 (:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
@@ -378,8 +378,24 @@ def _make_record(
 #: block, which later steps rewrite.
 Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray | None], None]
 
-#: Steps per block of the blocked memory sum.
-_BLOCK = 32
+#: Steps per block of the blocked memory sum.  The sum holds 2B + 1 + Q rows
+#: of N doubles, and each block end folds B samples into the Q modes, so a
+#: shorter block holds fewer rows and folds more often.  Rows at Q = 34 and
+#: 42, spectral_3d's peak RSS (perfbench, --trace 0) and the median seconds
+#: of 8 runs of ``run`` without observers, alternating block sizes in one
+#: process, for spectral_3d (64^3, 200 steps) and memory_1d (4096 points,
+#: 3471 steps), on a 2-vCPU VM:
+#:
+#:   B    rows (Q=34/42)   peak RSS   spectral_3d   memory_1d
+#:   4        43/51        53.9 MiB     0.80 s       2.22 s
+#:   8        51/59        56.4 MiB     0.72 s       2.10 s
+#:   16       67/75        60.7 MiB     0.68 s       2.16 s
+#:   32       99/107       69.5 MiB     0.68 s       2.10 s
+#:
+#: 8 takes a fifth off spectral_3d's peak for about 5 % of its step loop;
+#: 4 would save 2.4 MiB more for another 12 %.  At 193^3 stored points
+#: blocks of 8 hold 2.6 GiB less than blocks of 32.
+_BLOCK = 8
 
 
 def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
@@ -404,15 +420,16 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
 #: grid (its last axis is halved) and a whole one on the even grid.  The n x
 #: n matrices of the even grid's matrix transforms: the two it caches and
 #: the temporaries that build the second (7.1 matrices at the peak for n =
-#: 257).  The counts, 25 fields with the nonlinearity on and 12 with it
+#: 257).  The counts, 20 fields with the nonlinearity on and 11 with it
 #: off, 30 per-mode arrays and 8 matrices, are the integers that exceed
 #: tracemalloc's peak by 8 % or more in every run of
 #: test_memory_estimate_bounds_traced_peak (full 1-, 2- and 3-D grids of
 #: 1024 to 32768 points and even ones of 257 to 35937 stored points, direct
 #: and blocked, with the nonlinearity on and off) and overshoot it least:
-#: the estimate comes to 1.10-1.40 times the peak.
-_WORKING_ARRAYS = 25
-_LINEAR_WORKING_ARRAYS = 12
+#: none of them can be lowered by one while the others stay, and the
+#: estimate comes to 1.09-1.49 times the peak.
+_WORKING_ARRAYS = 20
+_LINEAR_WORKING_ARRAYS = 11
 _MODE_ARRAYS = 30
 _MATRIX_ARRAYS = 8
 #: bytes per node outside the arrays (a StepRecord, product weights) and

@@ -229,10 +229,10 @@ def _assert_runs_match(grid, mass_floor, **overrides):
 @pytest.mark.parametrize(
     "dim,points,half_length,support_radius,p,amplitude,t_end",
     [
-        # 30 steps, one block (the direct sum), and 60 steps in blocks
-        pytest.param(2, 32, 8.0, 3.0, 2.5, 1.0, 1.5, id="2-D-direct"),
+        # B steps, one block (the direct sum), and 60 steps in blocks
+        pytest.param(2, 32, 8.0, 3.0, 2.5, 1.0, stepper._BLOCK * 0.05, id="2-D-direct"),
         pytest.param(2, 32, 8.0, 3.0, 2.5, 1.0, 3.0, id="2-D-blocked"),
-        pytest.param(3, 16, 6.0, 2.0, 2.5, 1.0, 1.5, id="3-D-direct"),
+        pytest.param(3, 16, 6.0, 2.0, 2.5, 1.0, stepper._BLOCK * 0.05, id="3-D-direct"),
         pytest.param(3, 16, 6.0, 2.0, 2.5, 1.0, 2.5, id="3-D-blocked"),
     ],
 )
@@ -249,9 +249,9 @@ def test_even_run_matches_the_full_grid_run(
 
 
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
-# 30 steps, one block, and 40 steps in blocks: the 1-D run of these data
+# B steps, one block, and 40 steps in blocks: the 1-D run of these data
 # blows up at t = 2.5
-@pytest.mark.parametrize("t_end", [1.5, 2.0], ids=["direct", "blocked"])
+@pytest.mark.parametrize("t_end", [stepper._BLOCK * 0.05, 2.0], ids=["direct", "blocked"])
 def test_even_1d_run_matches_the_full_grid_run(t_end, nonlinear):
     # the 1-D exterior mass falls to about 1e-9 of ||u||_2, where the two
     # grids' transform round-off (about 1e-16 of ||u||_2, the floor README

@@ -195,7 +195,7 @@ def test_initial_data_two_d():
     "dim,points,half_length,t_end",
     [(2, 128, 6.0, 2.0), (3, 64, 4.0, 1.0)],
 )
-def test_multidimensional_runs_complete(dim, points, half_length, t_end):
+def test_multidimensional_runs_complete(dim, points, half_length, t_end, monkeypatch):
     # data width over grid cutoff frequency must stay ~7 sigmas for the
     # spectral support ringing to sit below the 1e-8 exterior-mass bound
     grid = SpatialGrid(dim, half_length, points)
@@ -207,6 +207,11 @@ def test_multidimensional_runs_complete(dim, points, half_length, t_end):
         amplitude=1e-2,
         dt=0.1,
         t_end=t_end,
+    )
+    # 20 and 10 steps in one block: the direct sum, which the check below
+    # matches to 1e-12 (blocks agree with it to the kernel fit's 1e-9)
+    monkeypatch.setattr(
+        stepper_mod, "_BLOCK", max(stepper_mod._BLOCK, config.n_steps)
     )
     history, seen = collected_run(config)
     assert history.status.phase is Phase.COMPLETED
@@ -560,23 +565,28 @@ def test_blowup_time_non_increasing_in_amplitude():
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
-def test_blocked_forcing_matches_direct_sum_at_every_node(dim, points, gamma):
-    # 400 steps in blocks of 32: the forcing streamed at every node, the nodes
-    # right after each fold included, against the direct sum over all samples
+def test_blocked_forcing_matches_direct_sum_at_every_node(
+    dim, points, gamma, monkeypatch
+):
+    # 400 steps in blocks of 4, of B and of 32: the forcing streamed at every
+    # node, the nodes right after each fold included, against the direct sum
+    # over all samples
     config = small_config(
         grid=SpatialGrid(dim, 8.0, points), gamma=gamma, support_radius=4.0,
         amplitude=0.05, dt=0.05, t_end=20.0,
     )
-    block, terms = stepper_mod._memory_blocks(config)
-    assert (block, config.n_steps) == (32, 400) and terms > 0
-    history, seen = collected_run(config)
-    assert history.status.phase is Phase.COMPLETED
-    G = np.stack(seen.g)
     conv = MemoryConvolution(config.gamma, config.dt, config.n_steps)
-    for node in range(1, config.n_steps + 1):
-        np.testing.assert_allclose(
-            seen.forcing[node], conv.value_at(G, node), rtol=1e-8, atol=1e-300
-        )
+    for B in (4, stepper_mod._BLOCK, 32):
+        monkeypatch.setattr(stepper_mod, "_BLOCK", B)
+        block, terms = stepper_mod._memory_blocks(config)
+        assert (block, config.n_steps) == (B, 400) and terms > 0
+        history, seen = collected_run(config)
+        assert history.status.phase is Phase.COMPLETED
+        G = np.stack(seen.g)
+        for node in range(1, config.n_steps + 1):
+            np.testing.assert_allclose(
+                seen.forcing[node], conv.value_at(G, node), rtol=1e-8, atol=1e-300
+            )
 
 
 def _dgemm_fold(modes, decay, moments, samples, lagged, past):
@@ -588,10 +598,11 @@ def _dgemm_fold(modes, decay, moments, samples, lagged, past):
 
 
 @pytest.mark.parametrize("points", [4, 1000, 4096, 65536])
-@pytest.mark.parametrize("terms", [5, 32, 33, 99, 127, 200])
+@pytest.mark.parametrize("terms", [5, 32, 33, 34, 42, 99, 127, 200])
 def test_fold_in_chunks_matches_the_dgemm_fold(terms, points):
-    # fewer, as many and more modes than the 32 rows of one chunk, and a
-    # last chunk of 1, 3, 31 or 8 rows
+    # fewer modes than the B = 8 rows of one chunk, whole chunks only, and a
+    # last chunk of 1, 2, 3 or 7 rows; 34 and 42 are the Q of a run of 200
+    # and of 3471 steps at gamma = 0.9 (the benchmark's 3-D and 1-D runs)
     B, dt = stepper_mod._BLOCK, 0.05
     rng = np.random.default_rng(terms * points)
     rates = np.geomspace(1e-3, 1e3, terms)
@@ -907,12 +918,12 @@ def test_nan_in_the_predictor_is_a_numerical_failure(monkeypatch):
         pytest.param(1, 1024, 2.0, False, id="1-1024"),
         pytest.param(2, 64, 2.0, False, id="2-64"),
         pytest.param(3, 32, 2.0, False, id="3-32"),
-        # 400 steps: a nonlinear run folds its block twelve times
+        # 400 steps: a nonlinear run folds its block every B steps
         pytest.param(1, 1024, 20.0, False, id="1-1024-blocked"),
-        # the even grids' orthants: 30 steps (one block, the direct sum) and 40
-        pytest.param(2, 128, 1.5, True, id="2-128-even-direct"),
+        # the even grids' orthants: B steps (one block, the direct sum) and 40
+        pytest.param(2, 128, stepper_mod._BLOCK * 0.05, True, id="2-128-even-direct"),
         pytest.param(2, 128, 2.0, True, id="2-128-even"),
-        pytest.param(3, 32, 1.5, True, id="3-32-even-direct"),
+        pytest.param(3, 32, stepper_mod._BLOCK * 0.05, True, id="3-32-even-direct"),
         pytest.param(3, 64, 2.0, True, id="3-64-even"),
         # 257 stored points, the longest axis of the matrix transforms, whose
         # matrices outweigh the fields; 513 stored points through pocketfft
@@ -943,12 +954,13 @@ def test_memory_estimate_bounds_traced_peak(dim, points, t_end, even, nonlinear)
 
 
 def test_memory_blocks_switch_to_blocks_after_one_block():
-    # dt = 0.125: 32 steps are one block of the direct sum, 33 take blocks
-    one, two = (small_config(t_end=0.125 * M) for M in (32, 33))
-    assert (one.n_steps, two.n_steps) == (32, 33)
-    assert stepper_mod._memory_blocks(one) == (32, 0)
+    # dt = 0.125: B steps are one block of the direct sum, B + 1 take blocks
+    B = stepper_mod._BLOCK
+    one, two = (small_config(t_end=0.125 * M) for M in (B, B + 1))
+    assert (one.n_steps, two.n_steps) == (B, B + 1)
+    assert stepper_mod._memory_blocks(one) == (B, 0)
     block, terms = stepper_mod._memory_blocks(two)
-    assert block == 32 and terms > 0
+    assert block == B and terms > 0
 
 
 def test_memory_estimate_of_blocked_sum_does_not_grow_with_steps():
@@ -988,6 +1000,27 @@ def test_run_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: needed)
     with pytest.raises(AssertionError, match="before the memory check"):
         run(config)
+
+
+def test_run_is_admitted_in_memory_that_blocks_of_32_would_exceed(monkeypatch):
+    # 40 steps on a 2-D even grid take blocks; the memory sum in blocks of B
+    # needs 2 (32 - B) fewer sample rows, and two fewer Q x (32 - B) stretches
+    # of weights, than in blocks of 32
+    config = small_config(
+        grid=SpatialGrid(2, 8.0, 32, even=True), support_radius=3.0, p=2.5,
+        dt=0.05, t_end=2.0,
+    )
+    needed = memory_estimate(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(stepper_mod, "_BLOCK", 32)
+        block_32 = stepper_mod._memory_blocks(config)
+        needed_at_32 = memory_estimate(config)
+    monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: needed_at_32 - 1)
+    assert run(config).status.phase is Phase.COMPLETED
+    B, terms = stepper_mod._memory_blocks(config)
+    assert config.n_steps > 32 > B and terms > 0 and block_32 == (32, terms)
+    points = math.prod(config.grid.shape)
+    assert needed_at_32 - needed == (2 * (32 - B) * points + 2 * terms * (32 - B)) * 8
 
 
 # ---------------------------------------------------------------------------
