@@ -296,9 +296,12 @@ class _RunRows:
     Rows sit at multiples of a stride that comes from the planned step count
     M (1 with ``full_resolution``), and the node a run stops at always gets a
     row.  Each row's exterior energy is taken while the node streams past,
-    from the spectrum the stepping loop already has; the node a run stops at,
-    when it lies off the stride, is the history's final state, whose exterior
-    energy :meth:`rows` takes with one forward transform.
+    from the spectrum the stepping loop already has
+    (:func:`~memwave.diagnostics.exterior_energy`: on the matrix-transform
+    grids the total energy by Parseval less a corner box of inverse-matrix
+    rows, else one inverse transform per gradient component); the node a
+    run stops at, when it lies off the stride, is the history's final state,
+    whose exterior energy :meth:`rows` takes with one forward transform.
     """
 
     def __init__(

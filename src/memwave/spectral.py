@@ -58,6 +58,17 @@ def _cos_pi(m: np.ndarray, q: int) -> np.ndarray:
     return sign * np.where(sine, np.sin(a), np.cos(a))
 
 
+def _rows_along(x: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """``mat`` applied along ``axis`` of ``x``: one GEMM (a stack of them
+    when axes follow), whose output holds mat's rows along that axis."""
+    shape = x.shape
+    after = math.prod(shape[axis + 1 :])
+    out_shape = shape[:axis] + mat.shape[:1] + shape[axis + 1 :]
+    if after == 1:
+        return np.matmul(x.reshape(-1, shape[axis]), mat.T).reshape(out_shape)
+    return np.matmul(mat, x.reshape(-1, shape[axis], after)).reshape(out_shape)
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Periodic box [-L, L)^dim sampled with N points per dimension.
@@ -132,6 +143,11 @@ class SpatialGrid:
         """|x| on the physical grid."""
         axes = np.meshgrid(*([self.axis_coords] * self.dim), indexing="ij", sparse=True)
         return np.sqrt(sum(a**2 for a in axes))
+
+    @cached_property
+    def max_radius(self) -> float:
+        """The largest |x| on the grid, at a corner of the box."""
+        return float(self.radius.max())
 
     @cached_property
     def _mirror_counts(self) -> np.ndarray:
@@ -243,13 +259,9 @@ class SpatialGrid:
         the DST-I, whose values are minus the imaginary parts (0 - imag, so
         both ends stay +0.0).
         """
-        n = self.shape[0]
         if self._dense:
-            mat = self._dst_matrix if odd else self._dct_matrix
-            after = n ** (self.dim - 1 - axis)
-            if after == 1:
-                return np.matmul(x.reshape(-1, n), mat.T).reshape(self.shape)
-            return np.matmul(mat, x.reshape(-1, n, after)).reshape(self.shape)
+            return _rows_along(x, self._dst_matrix if odd else self._dct_matrix, axis)
+        n = self.shape[0]
         before = (slice(None),) * axis
         mirror = x[before + (slice(-2, 0, -1),)]
         if not odd:
@@ -335,6 +347,32 @@ class SpatialGrid:
         total = None
         for axis, sym in enumerate(self.grad_symbols):
             component = self.to_field(sym * spec, odd_axis=axis)
+            np.square(component, out=component)
+            total = component if total is None else np.add(total, component, out=total)
+        return total
+
+    def corner_gradient_squared(self, spectrum: np.ndarray, points: int) -> np.ndarray:
+        """|grad u|^2 on the stored points [0, points)^dim of a grid that
+        transforms by matrix products, from u's spectrum.
+
+        These are :meth:`gradient_squared`'s values on that corner box, to
+        round-off: each axis takes only the first ``points`` rows of its
+        cached inverse matrix, with the 1/(2(n - 1)) scale and, on a
+        component's own axis, the Nyquist-zeroed gradient symbol folded into
+        the DST-I rows.  So a component costs about points / n of a transform,
+        and no spectrum-sized product is formed.
+        """
+        if not self._dense:
+            raise ValueError("corner transforms need an even grid of dense axes")
+        scale = 1.0 / (2 * (self.shape[0] - 1))
+        even = self._dct_matrix[:points] * scale
+        # every axis of the even grid has the same symbol, -xi with xi = 0 at Nyquist
+        odd = self._dst_matrix[:points] * (self.grad_symbols[0].reshape(-1) * scale)
+        total = None
+        for axis in range(self.dim):
+            component = spectrum
+            for along in range(self.dim):
+                component = _rows_along(component, odd if along == axis else even, along)
             np.square(component, out=component)
             total = component if total is None else np.add(total, component, out=total)
         return total

@@ -26,8 +26,11 @@ default) takes each transform as one matrix product per axis in numpy's
 OpenBLAS, and a longer one (the 1-D default's 2049) as numpy's real FFT
 of the axis mirrored about both ends.  The records take ||u||_2,
 ||grad u||_2, ||u_t||_2 and ||f||_2 from the step's spectra by Parseval, so
-the only other transforms are observers' (the CLI's run table takes one
-per gradient component for each row's exterior energy).
+the only other transforms are observers'.  The CLI's run table takes each
+row's exterior energy on the matrix-transform grids as the total less a
+corner box, whose gradient costs a fraction of a transform; on FFT grids,
+and where the interior holds most of the energy, it takes one inverse
+transform per gradient component.
 
 :func:`run` keeps per-node norms only.  Whatever else a consumer needs from
 the nodes (CSV rows, weak-form pairings) it accumulates as an observer that

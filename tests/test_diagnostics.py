@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
+from memwave import spectral as spectral_mod
 from memwave.criticality import blow_up_scaling_exponents
 from memwave.diagnostics import (
     TestFunctionParams,
@@ -135,6 +136,99 @@ def test_exterior_energy_ratio_decreases_for_linear_flow():
         values.append(ext.value)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
     assert values[-1] < values[0]
+
+
+def _direct_exterior_energy(state, delta, spectrum=None):
+    """The exterior energy summed over the exterior cells alone, as
+    exterior_energy does on grids that transform by FFT: the oracle of the
+    subtraction."""
+    grid = state.grid
+    radius = state.time ** (0.5 + delta) if state.time > 0.0 else 0.0
+    mask = grid.radius > radius
+    if not mask.any():
+        return 0.0, True
+    density = grid.gradient_squared(state.u, spectrum)
+    density += np.square(state.v)
+    return math.sqrt(grid.cell_sum(density, where=mask)), False
+
+
+def _corner_weighted_state(grid, t):
+    """An even state with most of its energy at the box's far corner, so
+    the exterior outweighs the interior out to radii past L."""
+    L = grid.half_length
+    x = np.meshgrid(*[grid.axis_coords] * grid.dim, indexing="ij", sparse=True)
+    corner = np.exp(-sum((L - a) ** 2 for a in x) / (L / 4.0) ** 2)
+    core = np.exp(-sum(a**2 for a in x) / 4.0)
+    return FieldState(grid, 0.6 * core + corner, 0.3 * core + 0.5 * corner, t)
+
+
+@pytest.mark.parametrize("dim,points", [(2, 64), (3, 32)])
+def test_exterior_energy_by_subtraction_matches_the_direct_sum(dim, points, monkeypatch):
+    # delta = 1/2 makes the radius t itself: on the spheres k dx through
+    # grid points, between them, at L (the corner box spans whole axes) and
+    # past it
+    grid = SpatialGrid(dim, 8.0, points, even=True)
+    assert grid.transform_matrix_bytes > 0
+    L, dx = grid.half_length, grid.dx
+    radii = [0.0, dx, 2 * dx, 2.5 * dx, 5 * dx, 5.5 * dx, L - dx, L, 1.1 * L]
+    cases = []
+    for t in radii:
+        state = _corner_weighted_state(grid, t)
+        cases.append((state, _direct_exterior_energy(state, 0.5)))
+
+    def refuse(self, field, spectrum=None):
+        raise AssertionError("the exterior energy took the direct sum")
+
+    monkeypatch.setattr(SpatialGrid, "gradient_squared", refuse)
+    for state, (want, empty) in cases:
+        got = exterior_energy(state, 0.5)
+        assert not empty and not got.region_empty
+        assert abs(got.value - want) <= 1e-13 * want, state.time
+        # the spectrum in hand gives the same value
+        spectrum = grid.to_spectrum(state.u)
+        assert exterior_energy(state, 0.5, spectrum).value == got.value
+
+
+@pytest.mark.parametrize("dim,points", [(2, 64), (3, 32)])
+def test_exterior_energy_keeps_the_direct_sum_when_the_interior_dominates(dim, points):
+    # a profile concentrated at the origin: the interior holds more than
+    # half the energy, so the value is the direct sum's, bit for bit
+    grid = SpatialGrid(dim, 8.0, points, even=True)
+    profile = np.exp(-grid.radius**2)
+    for t in (2.0, 4.0):
+        state = FieldState(grid, profile, profile, t)
+        want, _ = _direct_exterior_energy(state, 0.1)
+        assert 0.0 < want < 0.5 * state.energy_l2()
+        assert exterior_energy(state, 0.1).value == want
+
+
+def test_exterior_energy_on_fft_grids_is_the_direct_sum(monkeypatch):
+    full = SpatialGrid(2, 8.0, 64)
+    monkeypatch.setattr(spectral_mod, "_DENSE_AXIS", 0)
+    even = SpatialGrid(2, 8.0, 64, even=True)
+    assert full.transform_matrix_bytes == even.transform_matrix_bytes == 0
+    for grid in (full, even):
+        for t in (0.0, 0.2, 1.0, 3.0):
+            state = _corner_weighted_state(grid, t)
+            want, empty = _direct_exterior_energy(state, 0.5)
+            got = exterior_energy(state, 0.5)
+            assert (got.value, got.region_empty) == (want, empty)
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_exterior_energy_region_empty_at_the_largest_radius(even):
+    # delta = 1/2 makes the radius t: the point at the largest radius lies
+    # outside only for a smaller one
+    grid = SpatialGrid(2, 8.0, 32, even=even)
+    assert grid.max_radius == float(grid.radius.max())
+    below = np.nextafter(grid.max_radius, 0.0)
+    for t, empty in ((grid.max_radius, True), (2 * grid.max_radius, True), (below, False)):
+        state = _corner_weighted_state(grid, t)
+        want, want_empty = _direct_exterior_energy(state, 0.5)
+        got = exterior_energy(state, 0.5)
+        assert got.region_empty == want_empty == empty
+        assert (got.value == 0.0) == empty
+        assert abs(got.value - want) <= 1e-13 * want
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,41 @@ def test_norms_match_the_reflected_full_grid(grids):
     assert not got.region_empty and close(got.value, want.value)
 
 
+def test_corner_gradient_squared_is_the_gradient_on_the_corner_box(grids):
+    even, full = grids
+    u = even_field(even, 2)
+    spectrum = even.to_spectrum(u)
+    want = even.gradient_squared(u)
+    n = even.shape[0]
+    for points in (1, 3, n // 2, n):
+        box = (slice(points),) * even.dim
+        got = even.corner_gradient_squared(spectrum, points)
+        assert got.shape == (points,) * even.dim
+        assert np.abs(got - want[box]).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match="dense"):
+        full.corner_gradient_squared(full.to_spectrum(reflect(even, u)), 1)
+
+
+def test_exterior_energy_by_subtraction_matches_the_reflected_full_grid(grids, monkeypatch):
+    # at t = 0.1 the radius 0.1^0.6 = 0.25 leaves most of the energy outside,
+    # so the even grid subtracts its corner box from the total, while the
+    # full grid sums its exterior cells.  The fields are those of the box of
+    # half-length 8, stretched to this one, so that its points resolve them
+    even, full = grids
+    unit = SpatialGrid(even.dim, 8.0, even.points_per_dim, even=True)
+    u, v = even_field(unit, 2), even_field(unit, 3)
+    s_even = FieldState(even, u, v, 0.1)
+    s_full = FieldState(full, reflect(even, u), reflect(even, v), 0.1)
+    want = diagnostics.exterior_energy(s_full, 0.1)
+
+    def refuse(self, field, spectrum=None):
+        raise AssertionError("the even grid took the direct sum")
+
+    monkeypatch.setattr(SpatialGrid, "gradient_squared", refuse)
+    got = diagnostics.exterior_energy(s_even, 0.1)
+    assert not got.region_empty and close(got.value, want.value)
+
+
 def test_weak_pairing_matches_the_reflected_full_grid(grids):
     even, full = grids
     s_even, s_full = _pair_of_states(even, full, 1.5)

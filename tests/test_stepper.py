@@ -563,30 +563,40 @@ def test_blowup_time_non_increasing_in_amplitude():
 # blocked memory sum
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
-@pytest.mark.parametrize("dim,points", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize(
+    "dim,points,gamma,B",
+    [
+        # the default block size is the case without a block in its id
+        pytest.param(
+            dim, points, gamma, B,
+            id=f"{dim}-{points}-{gamma}" + ("" if B == stepper_mod._BLOCK else f"-block{B}"),
+        )
+        for dim, points in [(1, 64), (2, 16), (3, 8)]
+        for gamma in [0.1, 0.5, 0.9]
+        for B in [4, stepper_mod._BLOCK, 32]
+    ],
+)
 def test_blocked_forcing_matches_direct_sum_at_every_node(
-    dim, points, gamma, monkeypatch
+    dim, points, gamma, B, monkeypatch
 ):
-    # 400 steps in blocks of 4, of B and of 32: the forcing streamed at every
-    # node, the nodes right after each fold included, against the direct sum
-    # over all samples
+    # 400 steps in blocks of 4, of the default B and of 32: the forcing
+    # streamed at every node, the nodes right after each fold included,
+    # against the direct sum over all samples
+    monkeypatch.setattr(stepper_mod, "_BLOCK", B)
     config = small_config(
         grid=SpatialGrid(dim, 8.0, points), gamma=gamma, support_radius=4.0,
         amplitude=0.05, dt=0.05, t_end=20.0,
     )
     conv = MemoryConvolution(config.gamma, config.dt, config.n_steps)
-    for B in (4, stepper_mod._BLOCK, 32):
-        monkeypatch.setattr(stepper_mod, "_BLOCK", B)
-        block, terms = stepper_mod._memory_blocks(config)
-        assert (block, config.n_steps) == (B, 400) and terms > 0
-        history, seen = collected_run(config)
-        assert history.status.phase is Phase.COMPLETED
-        G = np.stack(seen.g)
-        for node in range(1, config.n_steps + 1):
-            np.testing.assert_allclose(
-                seen.forcing[node], conv.value_at(G, node), rtol=1e-8, atol=1e-300
-            )
+    block, terms = stepper_mod._memory_blocks(config)
+    assert (block, config.n_steps) == (B, 400) and terms > 0
+    history, seen = collected_run(config)
+    assert history.status.phase is Phase.COMPLETED
+    G = np.stack(seen.g)
+    for node in range(1, config.n_steps + 1):
+        np.testing.assert_allclose(
+            seen.forcing[node], conv.value_at(G, node), rtol=1e-8, atol=1e-300
+        )
 
 
 def _dgemm_fold(modes, decay, moments, samples, lagged, past):
