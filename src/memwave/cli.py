@@ -3,7 +3,8 @@
 Subcommands: ``simulate``, ``classify``, ``sweep``, ``verify``, ``exponents``.
 Scientific outcomes (including detected blow-up) exit with code 0; only
 malformed configs or infrastructure failures are process errors.  Identical
-manifests produce byte-identical output files.
+manifests produce byte-identical output files on one machine, numpy build
+and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -161,6 +162,11 @@ def parse_config(text: str, subcommand: str = "simulate") -> RunManifest:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    if values["data_shape"] == "custom":
+        raise ConfigError(
+            "key 'data_shape': custom data cannot come from a config file; "
+            "library runs pass them as ScenarioConfig.custom_data"
+        )
     dt = (
         _parse_float(values["dt"], "dt")
         if values["dt"]
@@ -307,7 +313,7 @@ class _RunRows:
     def __init__(
         self, config: stepper.ScenarioConfig, delta: float, full_resolution: bool
     ):
-        nodes = config.n_steps + 1
+        nodes = config.time_grid.n_nodes
         self.stride = 1 if full_resolution else max(1, math.ceil(nodes / MAX_TIMESERIES_ROWS))
         self.delta = delta
         self.exterior: dict[int, float] = {}
@@ -360,7 +366,8 @@ def _default_fit_window(t_end: float) -> tuple[float, float]:
 
 
 def _scenario_row(label: str, scenario: stepper.ScenarioConfig) -> dict:
-    """A summary row with the scenario's inputs and empty outcome cells."""
+    """A summary row with the scenario's inputs, the step its time grid
+    takes as ``dt``, and empty outcome cells."""
     return {
         "label": label,
         "n": scenario.dim,
@@ -368,7 +375,7 @@ def _scenario_row(label: str, scenario: stepper.ScenarioConfig) -> dict:
         "p": scenario.p,
         "K": scenario.support_radius,
         "amplitude": scenario.amplitude,
-        "dt": scenario.dt,
+        "dt": scenario.time_grid.dt,
         "t_end": scenario.t_end,
         "status": "",
         "t_detect": "",

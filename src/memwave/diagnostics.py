@@ -512,9 +512,11 @@ def weak_residual(
     """|LHS - RHS| of the distributional identity against the cutoff pairing.
 
     ``pairing`` observed the run that produced ``history`` and carries the
-    test-function parameters.  Both sides are discretized with trapezoid
-    weights in time and plain grid sums in space; for a mild solution the
-    residual vanishes under joint refinement of (dt, dx).
+    test-function parameters, whose horizon T must be a node of the run's
+    time grid: the test function lives on that grid's nodes up to T.  Both
+    sides are discretized with trapezoid weights in time and plain grid sums
+    in space; for a mild solution the residual vanishes under joint
+    refinement of (dt, dx).
     """
     params = pairing.params
     params.validate_for_p(p)
@@ -527,14 +529,11 @@ def weak_residual(
         raise ValueError(
             f"history was truncated ({history.status.phase.value}) before the horizon"
         )
-    dt = config.dt
-    n_nodes = int(round(params.T / dt)) + 1
-    if abs((n_nodes - 1) * dt - params.T) > 1e-9 * max(params.T, 1.0):
-        raise ValueError("horizon T must be a whole number of steps")
+    tgrid = config.time_grid.prefix(params.T)
+    n_nodes = tgrid.n_nodes
     if len(pairing.u_cut) < n_nodes:
         raise ValueError("the pairing did not observe the run up to the horizon T")
 
-    tgrid = TimeGrid(dt, n_nodes - 1)
     profiles = time_cutoff_profiles(params, tgrid)
     cell_sum = pairing.grid.cell_sum
     space_cut = pairing.space_cut

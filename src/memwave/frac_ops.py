@@ -58,14 +58,23 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_nodes)
 
+    def prefix(self, horizon: float) -> "TimeGrid":
+        """The nodes of this grid up to ``horizon``, which must be one of them."""
+        n_steps = round(horizon / self.dt)
+        if abs(n_steps * self.dt - horizon) > 1e-9 * max(horizon, 1.0):
+            raise ValueError(f"horizon {horizon} is not a whole number of steps {self.dt}")
+        if n_steps > self.n_steps:
+            raise ValueError(f"horizon {horizon} lies beyond the grid's {self.horizon}")
+        return TimeGrid(self.dt, n_steps)
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """One scalar (or one spatial field) per grid node.
+    """One scalar per grid node.
 
-    ``values`` has shape ``(n_nodes,)`` or ``(n_nodes, ...spatial)``.  Entries
-    must be finite unless the series is explicitly flagged as truncated by a
-    blow-up (``non_finite_ok=True``).
+    ``values`` has shape ``(n_nodes,)``.  Entries must be finite unless the
+    series is explicitly flagged as truncated by a blow-up
+    (``non_finite_ok=True``).
     """
 
     grid: TimeGrid
@@ -75,6 +84,8 @@ class TimeSeries:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
+        if values.ndim != 1:
+            raise ValueError(f"series values must be 1-D, got shape {values.shape}")
         if values.shape[0] != self.grid.n_nodes:
             raise ValueError(
                 f"series has {values.shape[0]} entries for a grid with "
@@ -168,16 +179,22 @@ SOE_CUTOFF = 1e-10
 SOE_TOLERANCE = 1e-9
 
 
-def exponential_sum_terms(dt: float, horizon: float, gamma: float) -> int:
-    """Number of terms :func:`exponential_sum` returns for ``dt``, ``horizon``
-    and ``gamma``."""
-    return len(_trapezoid_terms(gamma, dt, horizon)[0])
-
-
-def _trapezoid_terms(
+def exponential_sum(
     gamma: float, dt: float, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and weights of the trimmed trapezoid rule, before the check."""
+    """Rates s_q, weights w_q of tau^(-gamma) ~= sum_q w_q e^(-s_q tau) on [dt, horizon].
+
+    One trapezoid rule in x after the substitution s = e^(x - e^(-x)) / T
+    (McLean 2018, see SOE_STEP), trimmed to the terms that matter on
+    [dt, horizon].  The number of terms grows with log(horizon/dt) by about
+    one per SOE_STEP in ln(horizon/dt): 42 for dt = 0.0144 and horizon = 50
+    at gamma = 0.9, 34 for horizon/dt = 200.  All rates and weights are
+    positive.  The relative error is checked on a log-spaced tau grid (200
+    points per decade) and ValueError is raised when it exceeds
+    SOE_TOLERANCE; it stays below 3.3e-11 for gamma in [0.001, 0.999] and
+    horizon/dt from 10 to 1e5.  (SOE_STEP = 0.5, with 29 terms at the sizes
+    above, misses by 7.8e-8 at gamma = 0.9.)
+    """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if not (0.0 < dt < horizon):
@@ -204,26 +221,7 @@ def _trapezoid_terms(
         rate = np.dot(scaled[flat], rates[flat]) / mass
         rates = np.concatenate(([rate], rates[~flat]))
         scaled = np.concatenate(([mass], scaled[~flat]))
-    return rates, scaled * horizon ** (-gamma)
-
-
-def exponential_sum(
-    gamma: float, dt: float, horizon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rates s_q, weights w_q of tau^(-gamma) ~= sum_q w_q e^(-s_q tau) on [dt, horizon].
-
-    One trapezoid rule in x after the substitution s = e^(x - e^(-x)) / T
-    (McLean 2018, see SOE_STEP), trimmed to the terms that matter on
-    [dt, horizon].  The number of terms grows with log(horizon/dt) by about
-    one per SOE_STEP in ln(horizon/dt): 42 for dt = 0.0144 and horizon = 50
-    at gamma = 0.9, 34 for horizon/dt = 200.  All rates and weights are
-    positive.  The relative error is checked on a log-spaced tau grid (200
-    points per decade) and ValueError is raised when it exceeds
-    SOE_TOLERANCE; it stays below 3.3e-11 for gamma in [0.001, 0.999] and
-    horizon/dt from 10 to 1e5.  (SOE_STEP = 0.5, with 29 terms at the sizes
-    above, misses by 7.8e-8 at gamma = 0.9.)
-    """
-    rates, weights = _trapezoid_terms(gamma, dt, horizon)
+    weights = scaled * horizon ** (-gamma)
     tau = np.geomspace(dt, horizon, max(2, math.ceil(200 * math.log10(horizon / dt))))
     approx = np.zeros_like(tau)
     for s, w in zip(rates, weights):
@@ -268,25 +266,6 @@ def exponential_hat_moments(rates: np.ndarray, dt: float, n_steps: int) -> np.nd
     return dt * C
 
 
-def _convolve_time(conv: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """inner[m] = sum_{k=1}^{m-1} conv[k] * values[m-k] for every node m."""
-    M = values.shape[0] - 1
-    out = np.zeros_like(values)
-    if M < 2:
-        return out
-    kernel = conv[1:M]
-    if values.ndim == 1:
-        full = np.convolve(kernel, values[1:M])
-    else:  # the full linear convolution along time, by real FFT
-        size = 2 * len(kernel) - 1
-        shape = (-1,) + (1,) * (values.ndim - 1)
-        with np.errstate(invalid="ignore"):  # numpy warns on +-inf
-            spec = np.fft.rfft(values[1:M], size, axis=0)
-            full = np.fft.irfft(np.fft.rfft(kernel, size).reshape(shape) * spec, size, axis=0)
-    out[2:] = full[: M - 1]
-    return out
-
-
 def rl_integral(g: TimeSeries, order: FracOrder) -> TimeSeries:
     """Fractional integral J^alpha g on every grid node.
 
@@ -295,11 +274,11 @@ def rl_integral(g: TimeSeries, order: FracOrder) -> TimeSeries:
     """
     values = g.values
     alpha = order.alpha
-    dt = g.grid.dt
-    first, conv = product_weights(alpha, g.grid.n_steps)
-    out = _convolve_time(conv, values)
-    shape = (g.grid.n_nodes,) + (1,) * (values.ndim - 1)
-    out += first.reshape(shape) * values[0]
+    dt, M = g.grid.dt, g.grid.n_steps
+    first, conv = product_weights(alpha, M)
+    out = first * values[0]
+    if M >= 2:  # the interior nodes: sum_{k=1}^{m-1} conv[k] * values[m-k] at node m
+        out[2:] += np.convolve(conv[1:M], values[1:M])[: M - 1]
     out[1:] += conv[0] * values[1:]
     out[0] = 0.0 * values[0]
     out *= dt**alpha / math.gamma(alpha)
@@ -493,7 +472,6 @@ __all__ = [
     "CutoffProfile",
     "product_weights",
     "exponential_sum",
-    "exponential_sum_terms",
     "exponential_hat_moments",
     "rl_integral",
     "rl_deriv_left",

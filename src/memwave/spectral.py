@@ -550,7 +550,10 @@ class StepCoefficients:
         return free + (start + weight * f1h)
 
     def advance(self, uh, vh, f0h, f1h):
-        """One step in spectral space; forcing samples at both step endpoints."""
+        """One step in spectral space; forcing samples at both step endpoints.
+
+        :func:`duhamel_step` calls it; the step loop calls :meth:`rows` and
+        :meth:`finish` instead.  perfbench/tracing.py wraps it by name."""
         u_row, v_row = self.rows(uh, vh, f0h)
         return self.finish(u_row, f1h), self.finish(v_row, f1h)
 

@@ -7,9 +7,9 @@ endpoint forcing is resolved by a single predictor-corrector pass.
 
 A run of M steps on N points sums the memory in blocks of B = 8 steps:
 exact weights within the block, and the history before it carried by Q
-exponentials fitted to (t-s)^(-gamma) on [dt, t_end] to 1e-9 relative
+exponentials fitted to (t-s)^(-gamma) on [dt, M dt] to 1e-9 relative
 (:func:`~memwave.frac_ops.exponential_sum`, one trapezoid rule: Q = 34 for
-t_end/dt = 200 and 42 for 3471 at gamma = 0.9), well inside the forcing's
+M = 200 and 42 for M = 3471 at gamma = 0.9), well inside the forcing's
 1e-8 budget.  That costs O(M (B + Q) N) time and (Q + 2B + 1) N doubles of
 memory (51 rows of N at Q = 34) instead of O(M^2 N) and (M + 1) N.  A run
 of at most B steps is one block: the direct sum.
@@ -48,12 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frac_ops import (
-    exponential_hat_moments,
-    exponential_sum,
-    exponential_sum_terms,
-    product_weights,
-)
+from .frac_ops import TimeGrid, exponential_hat_moments, exponential_sum, product_weights
 from .spectral import FieldState, SpatialGrid, StepCoefficients
 
 DATA_SHAPES = ("gaussian_bump", "plateau", "custom")
@@ -110,6 +105,9 @@ class ScenarioConfig:
     same step with the forcing held at zero.  Every real field must be
     finite, and ``custom_data`` is given exactly when ``data_shape`` is
     ``"custom"``.
+
+    ``dt`` and ``t_end`` request the step and the horizon; a run steps on
+    :attr:`time_grid`, the one source of its step, nodes and horizon.
     """
 
     grid: SpatialGrid
@@ -160,8 +158,14 @@ class ScenarioConfig:
         return self.grid.dim
 
     @property
+    def time_grid(self) -> TimeGrid:
+        """The run's nodes: round(t_end / dt) steps of dt, so the last node
+        lies within dt/2 of t_end, before or after it."""
+        return TimeGrid(self.dt, round(self.t_end / self.dt))
+
+    @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return self.time_grid.n_steps
 
 
 def default_dt(grid: SpatialGrid) -> float:
@@ -214,7 +218,8 @@ class SolutionHistory:
     status: RunStatus = field(default_factory=RunStatus.running)
 
     #: per-node |u|^p and forcing samples are not kept (observers receive
-    #: them); the names stay readable and are always None
+    #: them); the names stay readable and are always None, since
+    #: perfbench/tracing.py reads them to count a run's history bytes
     nonlinearity_record = None
     forcing_record = None
 
@@ -401,16 +406,24 @@ Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray 
 _BLOCK = 8
 
 
-def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
-    """Steps per block of the memory sum and the number Q of exponentials.
+def _memory_plan(config: ScenarioConfig) -> tuple[int, tuple[np.ndarray, np.ndarray] | None]:
+    """Steps per block of the memory sum, and the rates and weights of the
+    exponentials that carry the history before a block.
 
     A run of M <= B steps is one block of M steps, the direct sum with no
-    exponentials ((M, 0) is returned); a longer one takes blocks of B steps.
+    exponentials (None); a longer one takes blocks of B steps and fits the
+    exponentials on [dt, horizon] of ``config.time_grid``.
     """
-    M = config.n_steps
-    if M <= _BLOCK:
-        return M, 0
-    return _BLOCK, exponential_sum_terms(config.dt, M * config.dt, config.gamma)
+    time = config.time_grid
+    if time.n_steps <= _BLOCK:
+        return time.n_steps, None
+    return _BLOCK, exponential_sum(config.gamma, time.dt, time.horizon)
+
+
+def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
+    """Steps per block of the memory sum and the number Q of exponentials."""
+    block, fit = _memory_plan(config)
+    return block, 0 if fit is None else len(fit[0])
 
 
 #: Arrays a run holds at its peak besides the memory sum's, in three kinds.
@@ -456,7 +469,7 @@ def memory_estimate(config: ScenarioConfig) -> int:
     grid = config.grid
     points = math.prod(grid.shape)
     modes = math.prod(grid.spectrum_shape)
-    nodes = config.n_steps + 1
+    nodes = config.time_grid.n_nodes
     nonlinear = config.nonlinearity_enabled
     memory = 0
     if nonlinear:
@@ -519,7 +532,8 @@ def _non_finite_status(
 
 
 def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionHistory:
-    """Integrate the scenario to t_end, a detected blow-up, or a failure.
+    """Integrate the scenario to the last node of its time grid, a detected
+    blow-up, or a failure.
 
     Each step applies the exact one-step flow with the forcing interpolated
     linearly between its endpoint values; the endpoint value at the new node
@@ -549,8 +563,8 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
         )
     observers = tuple(observers)
     grid = config.grid
-    M = config.n_steps
-    dt = config.dt
+    time = config.time_grid
+    dt = time.dt
     p = config.p
     state0 = make_initial_data(config)
     # u's, v's and the forcing's spectra at the step start (a linear run's forcing stays 0)
@@ -573,7 +587,7 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     g = forcing = past = None
     with np.errstate(over="ignore", invalid="ignore"):
         if nonlinear:
-            B, terms = _memory_blocks(config)
+            B, fit = _memory_plan(config)
             # the |u|^p samples of the current block, nodes start .. start + B
             block = np.zeros((B + 1,) + grid.shape)
             g = _power_p(state0.u, p, out=block[0])
@@ -581,21 +595,20 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
             conv = MemoryConvolution(config.gamma, dt, B)
             w = conv.tail_weight
             gh = grid.to_spectrum(g)
-            if terms:
-                rates, weights = exponential_sum(config.gamma, dt, M * dt)
+            if fit is not None:
+                rates, weights = fit
                 # lagged[k-1, q] = w_q e^(-s_q k dt); decay and moments fold a block
                 lagged = weights * np.exp(-np.outer(dt * np.arange(1, B + 1), rates))
                 decay = np.exp(-B * dt * rates)[:, None]
                 moments = exponential_hat_moments(rates, dt, B)
-                modes = np.zeros((terms, g.size))
+                modes = np.zeros((len(rates), g.size))
                 past = np.zeros((B, g.size))
                 samples = block.reshape(B + 1, -1)
             start = 0
         for observer in observers:
             observer(0, state0, uh, g, forcing)
 
-        for m in range(M):
-            t_next = (m + 1) * dt
+        for m, t_next in enumerate(map(float, time.times[1:])):
             u_row, v_row = coeffs.rows(uh, vh, fh)
             if nonlinear:
                 k = m + 1 - start

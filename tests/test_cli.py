@@ -6,7 +6,7 @@ import math
 import pytest
 
 import memwave.cli as cli_mod
-from memwave import stepper
+from memwave import spectral, stepper
 from memwave.diagnostics import energy_W_from_norm, exterior_energy
 from memwave.spectral import SpatialGrid
 from memwave.cli import (
@@ -224,11 +224,56 @@ def test_simulate_blowup_exits_zero(tmp_path):
     assert float(summary["t_detect"]) > 0.0
 
 
-def test_simulate_deterministic_outputs(tmp_path):
-    _, out1 = run_cli(tmp_path / "a", TINY_BLOWUP, "simulate")
-    _, out2 = run_cli(tmp_path / "b", TINY_BLOWUP, "simulate")
+#: 2-D and 3-D runs on dense even grids, whose transforms are matrix products
+#: in numpy's BLAS, with more than stepper._BLOCK steps, so that the memory
+#: sum folds its blocks into the exponential modes
+TINY_2D = """
+n = 2
+p = 2.5
+K = 3.0
+amplitude = 0.5
+box_half_length = 8.0
+points_per_dim = 64
+dt = 0.1
+t_end = 2.0
+"""
+
+TINY_3D = """
+n = 3
+p = 4.5
+K = 2.0
+amplitude = 0.01
+box_half_length = 6.0
+points_per_dim = 32
+dt = 0.1
+t_end = 2.0
+"""
+
+
+@pytest.mark.parametrize(
+    "config", [TINY_BLOWUP, TINY_2D, TINY_3D], ids=["1d", "2d", "3d"]
+)
+def test_simulate_deterministic_outputs(tmp_path, config):
+    # byte-identity on one machine, numpy build and BLAS thread count (README)
+    manifest = parse_config(config)
+    if manifest.scenario.dim > 1:
+        assert manifest.scenario.grid.even and manifest.scenario.n_steps > stepper._BLOCK
+        assert max(manifest.scenario.grid.shape) <= spectral._DENSE_AXIS
+    _, out1 = run_cli(tmp_path / "a", config, "simulate")
+    _, out2 = run_cli(tmp_path / "b", config, "simulate")
     for name in ("summary.csv", "run.csv", "long.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_custom_data_shape_in_a_config_is_a_config_error(tmp_path, capsys):
+    config = "n = 1\npoints_per_dim = 256\nt_end = 2.0\ndata_shape = custom\n"
+    with pytest.raises(ConfigError, match="ScenarioConfig.custom_data"):
+        parse_config(config, "simulate")
+    code, out = run_cli(tmp_path, config, "simulate")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "data_shape" in err and "ScenarioConfig.custom_data" in err
 
 
 def test_bad_config_exit_code(tmp_path):
