@@ -13,6 +13,8 @@ import argparse
 import csv
 import math
 import sys
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -229,22 +231,26 @@ def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return format(value, ".12g")
     return str(value)
 
 
 @dataclass
 class SummaryReport:
-    """Everything one invocation produced, ready for deterministic emission."""
+    """Everything one invocation produced, ready for deterministic emission.
+
+    A table's rows may be any sequence of dicts, such as a run table's view
+    over its run's records (:meth:`_RunRows.rows`).  ``long_rows`` may be any
+    iterable, a generator over the tables among them: :func:`emit_report`
+    consumes it once.
+    """
 
     subcommand: str
     schema: str = SCHEMA_TAG
     summary_columns: tuple[str, ...] = ()
     summary_rows: list[dict] = field(default_factory=list)
-    tables: dict[str, tuple[tuple[str, ...], list[dict]]] = field(default_factory=dict)
-    long_rows: list[tuple[str, str, float, float]] = field(default_factory=list)
+    tables: dict[str, tuple[tuple[str, ...], Sequence[dict]]] = field(default_factory=dict)
+    long_rows: Iterable[tuple[str, str, float, float]] = ()
     notes: list[str] = field(default_factory=list)
 
 
@@ -296,6 +302,40 @@ def emit_report(report: SummaryReport, output_dir: Path) -> list[Path]:
 # simulate
 # ---------------------------------------------------------------------------
 
+class _RunTable(Sequence):
+    """A run table's rows as a read-only view: a row's dict is built when it
+    is read, from the run's records and the exterior energies observed at
+    the table's nodes, so a table holds one record and one exterior energy
+    per row."""
+
+    def __init__(self, records, config, nodes, exterior):
+        self._records = records
+        self._config = config
+        self._nodes = nodes
+        self._exterior = exterior
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        record = self._records[self._nodes[index]]
+        config = self._config
+        return {
+            "t": record.t,
+            "l2_u": record.l2_u,
+            "h1_u": record.h1_u,
+            "l2_du": record.l2_du,
+            "W": diagnostics.energy_W_from_norm(
+                record.t, record.l2_du, config.dim, config.gamma
+            ),
+            "exterior_energy": self._exterior[index],
+            "forcing_l2": record.forcing_l2,
+            "exterior_mass": record.exterior_mass,
+        }
+
+
 class _RunRows:
     """Observer of :func:`stepper.run` that builds the rows of a run table.
 
@@ -308,6 +348,8 @@ class _RunRows:
     rows, else one inverse transform per gradient component); the node a
     run stops at, when it lies off the stride, is the history's final state,
     whose exterior energy :meth:`rows` takes with one forward transform.
+    The nodes and their exterior energies are kept in typed arrays, 16 bytes
+    a row.
     """
 
     def __init__(
@@ -316,48 +358,44 @@ class _RunRows:
         nodes = config.time_grid.n_nodes
         self.stride = 1 if full_resolution else max(1, math.ceil(nodes / MAX_TIMESERIES_ROWS))
         self.delta = delta
-        self.exterior: dict[int, float] = {}
+        self.nodes = array("q")
+        self.exterior = array("d")
 
-    def _exterior(self, state, uh=None) -> float:
-        return diagnostics.exterior_energy(state, self.delta, uh).value
+    def _observe(self, node, state, uh=None) -> None:
+        self.nodes.append(node)
+        self.exterior.append(diagnostics.exterior_energy(state, self.delta, uh).value)
 
     def __call__(self, node, state, uh, g, forcing) -> None:
         if node % self.stride == 0:
-            self.exterior[node] = self._exterior(state, uh)
+            self._observe(node, state, uh)
 
-    def rows(self, history: stepper.SolutionHistory) -> list[dict]:
-        """The table's rows, from the run's records and the observed nodes."""
+    def rows(self, history: stepper.SolutionHistory) -> _RunTable:
+        """The table's rows, a view over the run's records and the observed
+        nodes; it holds ``history.records``, not the history and its states."""
         last = len(history.records) - 1
-        if last not in self.exterior:
-            self.exterior[last] = self._exterior(history.states[-1])
-        config = history.config
-        rows = []
-        for node, ext in self.exterior.items():
-            record = history.records[node]
-            rows.append(
-                {
-                    "t": record.t,
-                    "l2_u": record.l2_u,
-                    "h1_u": record.h1_u,
-                    "l2_du": record.l2_du,
-                    "W": diagnostics.energy_W_from_norm(
-                        record.t, record.l2_du, config.dim, config.gamma
-                    ),
-                    "exterior_energy": ext,
-                    "forcing_l2": record.forcing_l2,
-                    "exterior_mass": record.exterior_mass,
-                }
-            )
-        return rows
+        if not self.nodes or self.nodes[-1] != last:
+            self._observe(last, history.states[-1])
+        return _RunTable(history.records, history.config, self.nodes, self.exterior)
 
 
 def _simulate_rows(
     scenario: stepper.ScenarioConfig, manifest: RunManifest
-) -> tuple[stepper.SolutionHistory, list[dict]]:
+) -> tuple[stepper.SolutionHistory, _RunTable]:
     """Run one scenario and return its history with its run-table rows."""
     observer = _RunRows(scenario, manifest.delta, manifest.full_resolution)
     history = stepper.run(scenario, observers=(observer,))
     return history, observer.rows(history)
+
+
+def _melt(
+    tables: Iterable[tuple[str, Sequence[dict]]], series: tuple[str, ...]
+) -> Iterator[tuple[str, str, float, float]]:
+    """long.csv's rows of run tables: each row's ``series`` in row order,
+    table by table, with the table's label and the row's ``t``."""
+    for label, rows in tables:
+        for row in rows:
+            for name in series:
+                yield label, name, row["t"], row[name]
 
 
 def _default_fit_window(t_end: float) -> tuple[float, float]:
@@ -446,9 +484,7 @@ def _cmd_simulate(manifest: RunManifest) -> SummaryReport:
     summary = _summarize_run("run", manifest.scenario, history)
     summary["verdict"] = ""
     report.summary_rows.append(summary)
-    for row in rows:
-        for series in RUN_COLUMNS[1:]:
-            report.long_rows.append(("run", series, row["t"], row[series]))
+    report.long_rows = _melt([("run", rows)], RUN_COLUMNS[1:])
     return report
 
 
@@ -528,6 +564,7 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
     """
     report = SummaryReport("sweep", summary_columns=SUMMARY_COLUMNS)
     map_rows = []
+    run_tables = []
     for index, scenario in enumerate(_sweep_entries(manifest)):
         label = f"run_{index:03d}"
         verdict = criticality.classify(
@@ -550,10 +587,10 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
         report.summary_rows.append(summary)
         if rows is not None:
             report.tables[label] = (RUN_COLUMNS, rows)
-            for row in rows:
-                report.long_rows.append((label, "l2_du", row["t"], row["l2_du"]))
+            run_tables.append((label, rows))
         map_rows.append({c: summary[c] for c in REGIME_COLUMNS})
     report.tables["regime_map"] = (REGIME_COLUMNS, map_rows)
+    report.long_rows = _melt(run_tables, ("l2_du",))
     return report
 
 
@@ -566,13 +603,16 @@ def _cmd_exponents(manifest: RunManifest) -> SummaryReport:
     report = SummaryReport(
         "exponents", summary_columns=("label", "n", "gamma") + EXPONENT_COLUMNS
     )
-    rows = []
-    for gamma in manifest.gamma_grid:
-        row = {"label": f"gamma={_fmt(gamma)}", "n": n, **_exponent_row(n, gamma)}
-        rows.append(row)
-        report.summary_rows.append(row)
-        for name in ("p_gamma", "p_1", "p_2", "p_3"):
-            report.long_rows.append((name, "gamma", gamma, row[name]))
+    rows = [
+        {"label": f"gamma={_fmt(gamma)}", "n": n, **_exponent_row(n, gamma)}
+        for gamma in manifest.gamma_grid
+    ]
+    report.summary_rows = rows
+    report.long_rows = [
+        (name, "gamma", row["gamma"], row[name])
+        for row in rows
+        for name in ("p_gamma", "p_1", "p_2", "p_3")
+    ]
     report.tables["exponent_table"] = (("n", "gamma") + EXPONENT_COLUMNS, rows)
     return report
 
@@ -748,8 +788,7 @@ def _cmd_verify(manifest: RunManifest) -> SummaryReport:
     rows = [_verify_row(suite, case, measured[suite, case]) for suite, case in VERIFY_CHECKS]
     report.summary_rows = rows
     report.tables["verify"] = (columns, rows)
-    for row in rows:
-        report.long_rows.append((row["suite"], row["case"], 0.0, float(row["value"])))
+    report.long_rows = [(row["suite"], row["case"], 0.0, float(row["value"])) for row in rows]
     if not all(r["passed"] for r in rows):
         report.notes.append("one or more verification rows failed")
     return report

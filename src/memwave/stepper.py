@@ -420,10 +420,15 @@ def _memory_plan(config: ScenarioConfig) -> tuple[int, tuple[np.ndarray, np.ndar
     return _BLOCK, exponential_sum(config.gamma, time.dt, time.horizon)
 
 
+def _plan_blocks(plan) -> tuple[int, int]:
+    """Steps per block and the number Q of exponentials of a memory plan."""
+    block, fit = plan
+    return block, 0 if fit is None else len(fit[0])
+
+
 def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
     """Steps per block of the memory sum and the number Q of exponentials."""
-    block, fit = _memory_plan(config)
-    return block, 0 if fit is None else len(fit[0])
+    return _plan_blocks(_memory_plan(config))
 
 
 #: Arrays a run holds at its peak besides the memory sum's, in three kinds.
@@ -450,7 +455,11 @@ _MODE_ARRAYS = 30
 _MATRIX_ARRAYS = 8
 #: bytes per node outside the arrays (a StepRecord, product weights) and
 #: bytes independent of the grid and the step count (numpy's ufunc buffers
-#: among them), fitted with the counts above
+#: among them), fitted with the counts above.  The CLI's run tables stay
+#: within it: a row is a view over its record plus 16 bytes (its node and
+#: exterior energy), and tracemalloc's peak of a full-resolution 1-D
+#: `simulate` grows by about 300 bytes per node
+#: (test_full_resolution_simulate_holds_node_bytes_per_node in test_cli)
 _NODE_BYTES = 400
 _FIXED_BYTES = 64 * 1024
 
@@ -466,19 +475,25 @@ def memory_estimate(config: ScenarioConfig) -> int:
     transforms (n points per stored axis) and a few hundred bytes of records
     per node.  What observers keep is their own and not included.
     """
+    blocks = _memory_blocks(config) if config.nonlinearity_enabled else None
+    return _estimate(config, blocks)
+
+
+def _estimate(config: ScenarioConfig, blocks: tuple[int, int] | None) -> int:
+    """:func:`memory_estimate` of a run whose memory sum takes ``blocks``,
+    (B, Q) from :func:`_memory_blocks`, or None with the nonlinearity off."""
     grid = config.grid
     points = math.prod(grid.shape)
     modes = math.prod(grid.spectrum_shape)
     nodes = config.time_grid.n_nodes
-    nonlinear = config.nonlinearity_enabled
     memory = 0
-    if nonlinear:
-        block, terms = _memory_blocks(config)
+    if blocks is not None:
+        block, terms = blocks
         memory = (block + 1) * points * 8
         if terms:
             memory += (terms + block) * points * 8 + 2 * terms * (block + 1) * 8
     array = max(points * 8, modes * grid.spectrum_dtype.itemsize)
-    fields = _WORKING_ARRAYS if nonlinear else _LINEAR_WORKING_ARRAYS
+    fields = _LINEAR_WORKING_ARRAYS if blocks is None else _WORKING_ARRAYS
     working = (
         fields * array + _MODE_ARRAYS * modes * 8
         + _MATRIX_ARRAYS * grid.transform_matrix_bytes
@@ -554,7 +569,11 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     before allocating anything, when :func:`memory_estimate` exceeds the
     machine's physical memory.
     """
-    needed, available = memory_estimate(config), _physical_memory()
+    nonlinear = config.nonlinearity_enabled
+    # the exponential sum is fitted once, for the estimate and the memory sum
+    plan = _memory_plan(config) if nonlinear else None
+    needed = _estimate(config, None if plan is None else _plan_blocks(plan))
+    available = _physical_memory()
     if needed > available:
         raise ValueError(
             f"run needs about {needed / 2**30:.1f} GiB, more than the "
@@ -583,11 +602,10 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
         history.states = [state0, state]
         return history
 
-    nonlinear = config.nonlinearity_enabled
     g = forcing = past = None
     with np.errstate(over="ignore", invalid="ignore"):
         if nonlinear:
-            B, fit = _memory_plan(config)
+            B, fit = plan
             # the |u|^p samples of the current block, nodes start .. start + B
             block = np.zeros((B + 1,) + grid.shape)
             g = _power_p(state0.u, p, out=block[0])

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +163,13 @@ def test_empty_report_writes_header_only(tmp_path):
     assert (tmp_path / "long.csv").read_text() == "label,series,t,value\n"
 
 
+@pytest.mark.parametrize(
+    "value,text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")]
+)
+def test_fmt_writes_non_finite_floats_with_their_sign(value, text):
+    assert cli_mod._fmt(value) == text
+
+
 # ---------------------------------------------------------------------------
 # subcommands end to end
 # ---------------------------------------------------------------------------
@@ -263,6 +272,63 @@ def test_simulate_deterministic_outputs(tmp_path, config):
     _, out2 = run_cli(tmp_path / "b", config, "simulate")
     for name in ("summary.csv", "run.csv", "long.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+#: a 2-D sweep on a dense even grid with one entry that completes and one
+#: that blows up, both past stepper._BLOCK steps
+SWEEP_2D = """
+n = 2
+p = 2.0
+K = 3.0
+box_half_length = 8.0
+points_per_dim = 64
+dt = 0.1
+t_end = 3.0
+sweep_amplitude = 0.01, 5.0
+"""
+
+
+def test_sweep_deterministic_outputs(tmp_path):
+    # byte-identity of every written file, as for simulate (README)
+    manifest = parse_config(SWEEP_2D, "sweep")
+    assert manifest.scenario.grid.even
+    assert max(manifest.scenario.grid.shape) <= spectral._DENSE_AXIS
+    _, out1 = run_cli(tmp_path / "a", SWEEP_2D, "sweep")
+    _, out2 = run_cli(tmp_path / "b", SWEEP_2D, "sweep")
+    summary = read_csv(out1 / "summary.csv")
+    assert [row["status"] for row in summary] == ["completed", "blowup_detected"]
+    assert float(summary[1]["t_detect"]) > stepper._BLOCK * manifest.scenario.dt
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    assert names == sorted(
+        ["summary.csv", "summary.txt", "long.csv", "regime_map.csv", "run_000.csv", "run_001.csv"]
+    )
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def _melt_text(tables, series):
+    """long.csv's text as the melt of the written run tables: each row's
+    ``series`` in row order, table by table, cells as written."""
+    lines = ["label,series,t,value"]
+    for label, path in tables:
+        for row in read_csv(path):
+            lines += [f"{label},{name},{row['t']},{row[name]}" for name in series]
+    return "\n".join(lines) + "\n"
+
+
+def test_long_csv_is_the_melt_of_the_simulate_run_table(tmp_path):
+    _, out = run_cli(tmp_path, TINY_BLOWUP, "simulate")
+    want = _melt_text([("run", out / "run.csv")], cli_mod.RUN_COLUMNS[1:])
+    assert (out / "long.csv").read_text() == want
+
+
+def test_long_csv_is_the_melt_of_the_sweep_run_tables(tmp_path):
+    _, out = run_cli(tmp_path, SWEEP_2D, "sweep")
+    labels = [row["label"] for row in read_csv(out / "summary.csv")]
+    assert labels == ["run_000", "run_001"]
+    want = _melt_text([(label, out / f"{label}.csv") for label in labels], ("l2_du",))
+    assert (out / "long.csv").read_text() == want
 
 
 def test_custom_data_shape_in_a_config_is_a_config_error(tmp_path, capsys):
@@ -528,6 +594,49 @@ def test_streamed_rows_match_rows_from_stored_states(name):
                 assert got[key] == pytest.approx(value, rel=1e-12)
             else:
                 assert got[key] == value
+
+
+def test_run_table_is_a_view_over_the_records():
+    scenario = _oracle_scenario("n1")
+    observer = cli_mod._RunRows(scenario, 0.1, True)
+    history = stepper.run(scenario, observers=(observer,))
+    rows = observer.rows(history)
+    assert len(rows) == len(history.records)
+    assert rows[-1] == rows[len(rows) - 1] == list(rows)[-1]
+    assert rows[1:3] == [rows[1], rows[2]]
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+    # a new dict at each read: changing one does not change the table
+    rows[0]["t"] = -1.0
+    assert rows[0]["t"] == history.records[0].t
+
+
+def _traced_peak(manifest):
+    """tracemalloc's peak during ``manifest``'s second run (the first fills
+    the caches of its grid and of numpy)."""
+    cli_mod.run_subcommand(manifest)
+    tracemalloc.start()
+    try:
+        cli_mod.run_subcommand(manifest)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_resolution_simulate_holds_node_bytes_per_node(tmp_path):
+    # twice the horizon adds a record and an exterior energy per table row,
+    # within the estimate's stepper._NODE_BYTES per node; a dict per row and
+    # seven long-format tuples took about 1030 bytes
+    config = "n = 1\np = 4.5\namplitude = 0.01\nbox_half_length = 16.0\n"
+    config += "points_per_dim = 64\ndt = 0.05\nt_end = {}\n"
+    peaks, nodes = [], []
+    for t_end in (25.0, 50.0):
+        manifest = parse_config(config.format(t_end), "simulate")
+        manifest = replace(manifest, output_dir=tmp_path, full_resolution=True)
+        peaks.append(_traced_peak(manifest))
+        nodes.append(manifest.scenario.time_grid.n_nodes)
+    assert nodes == [501, 1001]
+    assert (peaks[1] - peaks[0]) / (nodes[1] - nodes[0]) <= stepper._NODE_BYTES
 
 
 def test_blowup_rows_sit_on_the_stride_of_the_planned_steps(monkeypatch):

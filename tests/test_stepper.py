@@ -1033,6 +1033,23 @@ def test_run_is_admitted_in_memory_that_blocks_of_32_would_exceed(monkeypatch):
     assert needed_at_32 - needed == (2 * (32 - B) * points + 2 * terms * (32 - B)) * 8
 
 
+@pytest.mark.parametrize("nonlinear,fits", [(True, 1), (False, 0)])
+def test_run_fits_the_exponential_sum_once(nonlinear, fits, monkeypatch):
+    # the memory check and the memory sum share one fit of the kernel
+    config = small_config(nonlinearity_enabled=nonlinear)
+    assert config.n_steps > stepper_mod._BLOCK
+    calls = []
+    exponential_sum = stepper_mod.exponential_sum
+
+    def spy(gamma, dt, horizon):
+        calls.append((gamma, dt, horizon))
+        return exponential_sum(gamma, dt, horizon)
+
+    monkeypatch.setattr(stepper_mod, "exponential_sum", spy)
+    run(config)
+    assert calls == [(config.gamma, config.time_grid.dt, config.time_grid.horizon)] * fits
+
+
 # ---------------------------------------------------------------------------
 # blow-up predicate
 # ---------------------------------------------------------------------------
