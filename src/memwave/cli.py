@@ -246,7 +246,6 @@ class SummaryReport:
     """
 
     subcommand: str
-    schema: str = SCHEMA_TAG
     summary_columns: tuple[str, ...] = ()
     summary_rows: list[dict] = field(default_factory=list)
     tables: dict[str, tuple[tuple[str, ...], Sequence[dict]]] = field(default_factory=dict)
@@ -268,14 +267,14 @@ def emit_report(report: SummaryReport, output_dir: Path) -> list[Path]:
     written = []
 
     columns = ("schema",) + tuple(report.summary_columns)
-    rows = [{"schema": report.schema, **row} for row in report.summary_rows]
+    rows = [{"schema": SCHEMA_TAG, **row} for row in report.summary_rows]
     path = output_dir / "summary.csv"
     _write_csv(path, columns, rows)
     written.append(path)
 
     path = output_dir / "summary.txt"
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"memwave {report.subcommand} report (schema {report.schema})\n")
+        handle.write(f"memwave {report.subcommand} report (schema {SCHEMA_TAG})\n")
         for note in report.notes:
             handle.write(f"note: {note}\n")
         for row in report.summary_rows:

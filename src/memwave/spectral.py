@@ -99,8 +99,10 @@ class SpatialGrid:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.half_length <= 0.0:
-            raise ValueError("half_length must be positive")
+        if not 0.0 < self.half_length < math.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
+        if not isinstance(self.points_per_dim, (int, np.integer)):
+            raise ValueError(f"points_per_dim must be an integer, got {self.points_per_dim!r}")
         if self.points_per_dim < 4 or self.points_per_dim % 2:
             raise ValueError("points_per_dim must be even and >= 4")
 

@@ -12,7 +12,8 @@ exponentials fitted to (t-s)^(-gamma) on [dt, M dt] to 1e-9 relative
 M = 200 and 42 for M = 3471 at gamma = 0.9), well inside the forcing's
 1e-8 budget.  That costs O(M (B + Q) N) time and (Q + 2B + 1) N doubles of
 memory (51 rows of N at Q = 34) instead of O(M^2 N) and (M + 1) N.  A run
-of at most B steps is one block: the direct sum.
+of at most B steps is one block of M steps with Q = 0: no exponentials and
+a history part of zeros.
 
 A step applies one precomputed per-mode propagator
 (:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
@@ -179,7 +180,7 @@ def suggested_half_length(support_radius: float, t_end: float) -> float:
     return support_radius + 1.1 * t_end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Per-node norms: t, ||u||_2, ||u||_H1, ||Du||_2, ||f||_2, exterior mass."""
 
@@ -406,29 +407,18 @@ Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray 
 _BLOCK = 8
 
 
-def _memory_plan(config: ScenarioConfig) -> tuple[int, tuple[np.ndarray, np.ndarray] | None]:
+def _memory_plan(config: ScenarioConfig) -> tuple[int, np.ndarray, np.ndarray]:
     """Steps per block of the memory sum, and the rates and weights of the
-    exponentials that carry the history before a block.
+    Q exponentials that carry the history before a block.
 
-    A run of M <= B steps is one block of M steps, the direct sum with no
-    exponentials (None); a longer one takes blocks of B steps and fits the
-    exponentials on [dt, horizon] of ``config.time_grid``.
+    A run of M steps takes blocks of min(M, B) steps.  When it is longer
+    than one block the exponentials are fitted on [dt, horizon] of
+    ``config.time_grid``; a run of at most B steps has Q = 0.
     """
     time = config.time_grid
     if time.n_steps <= _BLOCK:
-        return time.n_steps, None
-    return _BLOCK, exponential_sum(config.gamma, time.dt, time.horizon)
-
-
-def _plan_blocks(plan) -> tuple[int, int]:
-    """Steps per block and the number Q of exponentials of a memory plan."""
-    block, fit = plan
-    return block, 0 if fit is None else len(fit[0])
-
-
-def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
-    """Steps per block of the memory sum and the number Q of exponentials."""
-    return _plan_blocks(_memory_plan(config))
+        return time.n_steps, np.empty(0), np.empty(0)
+    return (_BLOCK, *exponential_sum(config.gamma, time.dt, time.horizon))
 
 
 #: Arrays a run holds at its peak besides the memory sum's, in three kinds.
@@ -445,10 +435,10 @@ def _memory_blocks(config: ScenarioConfig) -> tuple[int, int]:
 #: off, 30 per-mode arrays and 8 matrices, are the integers that exceed
 #: tracemalloc's peak by 8 % or more in every run of
 #: test_memory_estimate_bounds_traced_peak (full 1-, 2- and 3-D grids of
-#: 1024 to 32768 points and even ones of 257 to 35937 stored points, direct
-#: and blocked, with the nonlinearity on and off) and overshoot it least:
-#: none of them can be lowered by one while the others stay, and the
-#: estimate comes to 1.09-1.49 times the peak.
+#: 1024 to 32768 points and even ones of 257 to 35937 stored points, in one
+#: block and in many, with the nonlinearity on and off) and overshoot it
+#: least: none of them can be lowered by one while the others stay, and the
+#: estimate comes to 1.09-1.41 times the peak.
 _WORKING_ARRAYS = 20
 _LINEAR_WORKING_ARRAYS = 11
 _MODE_ARRAYS = 30
@@ -458,7 +448,7 @@ _MATRIX_ARRAYS = 8
 #: among them), fitted with the counts above.  The CLI's run tables stay
 #: within it: a row is a view over its record plus 16 bytes (its node and
 #: exterior energy), and tracemalloc's peak of a full-resolution 1-D
-#: `simulate` grows by about 300 bytes per node
+#: `simulate` grows by about 250 bytes per node
 #: (test_full_resolution_simulate_holds_node_bytes_per_node in test_cli)
 _NODE_BYTES = 400
 _FIXED_BYTES = 64 * 1024
@@ -467,33 +457,31 @@ _FIXED_BYTES = 64 * 1024
 def memory_estimate(config: ScenarioConfig) -> int:
     """Bytes a run of ``config`` needs at its peak, an upper bound.
 
-    A run of M <= B steps keeps every |u|^p sample, (M + 1) * N doubles, N
-    the points the grid stores.  A longer one keeps one block of samples,
-    the Q exponential histories and the block's history part, (Q + 2B + 1) *
-    N doubles, plus two Q x (B + 1) weight matrices.  Everything else is
-    O(N) working arrays, the n x n matrices of an even grid's matrix
-    transforms (n points per stored axis) and a few hundred bytes of records
-    per node.  What observers keep is their own and not included.
+    A nonlinear run keeps one block of B + 1 samples, the Q exponential
+    histories and the block's history part, (Q + 2B + 1) * N doubles, N the
+    points the grid stores, plus two Q x (B + 1) weight matrices (Q = 0 and
+    B = M for a run of M <= B steps).  Everything else is O(N) working
+    arrays, the n x n matrices of an even grid's matrix transforms (n points
+    per stored axis) and a few hundred bytes of records per node.  What
+    observers keep is their own and not included.
     """
-    blocks = _memory_blocks(config) if config.nonlinearity_enabled else None
-    return _estimate(config, blocks)
+    return _estimate(config, _memory_plan(config) if config.nonlinearity_enabled else None)
 
 
-def _estimate(config: ScenarioConfig, blocks: tuple[int, int] | None) -> int:
-    """:func:`memory_estimate` of a run whose memory sum takes ``blocks``,
-    (B, Q) from :func:`_memory_blocks`, or None with the nonlinearity off."""
+def _estimate(config: ScenarioConfig, plan: tuple[int, np.ndarray, np.ndarray] | None) -> int:
+    """:func:`memory_estimate` of a run whose memory sum takes ``plan``,
+    from :func:`_memory_plan`, or None with the nonlinearity off."""
     grid = config.grid
     points = math.prod(grid.shape)
     modes = math.prod(grid.spectrum_shape)
     nodes = config.time_grid.n_nodes
-    memory = 0
-    if blocks is not None:
-        block, terms = blocks
-        memory = (block + 1) * points * 8
-        if terms:
-            memory += (terms + block) * points * 8 + 2 * terms * (block + 1) * 8
+    memory, fields = 0, _LINEAR_WORKING_ARRAYS
+    if plan is not None:
+        block, rates, _ = plan
+        terms = len(rates)
+        memory = ((terms + 2 * block + 1) * points + 2 * terms * (block + 1)) * 8
+        fields = _WORKING_ARRAYS
     array = max(points * 8, modes * grid.spectrum_dtype.itemsize)
-    fields = _LINEAR_WORKING_ARRAYS if blocks is None else _WORKING_ARRAYS
     working = (
         fields * array + _MODE_ARRAYS * modes * 8
         + _MATRIX_ARRAYS * grid.transform_matrix_bytes
@@ -557,7 +545,7 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     samples, so its spectra are sums of the known part's spectrum and single
     samples' spectra.
 
-    The memory sum restarts every B steps (see :func:`_memory_blocks`): within
+    The memory sum restarts every B steps (see :func:`_memory_plan`): within
     a block the product-integration weights act on the block's samples, and
     the history before the block enters through Q exponential modes
     H_q = int_0^{t_b} e^(-s_q (t_b - s)) g(s) ds, folded forward at each block
@@ -572,7 +560,7 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     nonlinear = config.nonlinearity_enabled
     # the exponential sum is fitted once, for the estimate and the memory sum
     plan = _memory_plan(config) if nonlinear else None
-    needed = _estimate(config, None if plan is None else _plan_blocks(plan))
+    needed = _estimate(config, plan)
     available = _physical_memory()
     if needed > available:
         raise ValueError(
@@ -602,38 +590,35 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
         history.states = [state0, state]
         return history
 
-    g = forcing = past = None
+    g = forcing = None
     with np.errstate(over="ignore", invalid="ignore"):
         if nonlinear:
-            B, fit = plan
-            # the |u|^p samples of the current block, nodes start .. start + B
+            B, rates, weights = plan
+            # the |u|^p samples of the current block, nodes b .. b + B
             block = np.zeros((B + 1,) + grid.shape)
             g = _power_p(state0.u, p, out=block[0])
             forcing = np.zeros(grid.shape)
             conv = MemoryConvolution(config.gamma, dt, B)
             w = conv.tail_weight
             gh = grid.to_spectrum(g)
-            if fit is not None:
-                rates, weights = fit
-                # lagged[k-1, q] = w_q e^(-s_q k dt); decay and moments fold a block
-                lagged = weights * np.exp(-np.outer(dt * np.arange(1, B + 1), rates))
-                decay = np.exp(-B * dt * rates)[:, None]
-                moments = exponential_hat_moments(rates, dt, B)
-                modes = np.zeros((len(rates), g.size))
-                past = np.zeros((B, g.size))
-                samples = block.reshape(B + 1, -1)
-            start = 0
+            # lagged[k-1, q] = w_q e^(-s_q k dt); decay and moments fold a block
+            lagged = weights * np.exp(-np.outer(dt * np.arange(1, B + 1), rates))
+            decay = np.exp(-B * dt * rates)[:, None]
+            moments = exponential_hat_moments(rates, dt, B)
+            modes = np.zeros((len(rates), g.size))
+            # the history part of the block's nodes, zero until the first fold
+            past = np.zeros((B, g.size))
+            samples = block.reshape(B + 1, -1)
         for observer in observers:
             observer(0, state0, uh, g, forcing)
 
         for m, t_next in enumerate(map(float, time.times[1:])):
             u_row, v_row = coeffs.rows(uh, vh, fh)
             if nonlinear:
-                k = m + 1 - start
+                k = m % B + 1
                 # the known part of the memory sum, completed to the forcing
                 known = conv.known_part(block, k)
-                if past is not None:
-                    known += past[k - 1].reshape(grid.shape)
+                known += past[k - 1].reshape(grid.shape)
                 kh = grid.to_spectrum(known)
                 # the predictor's u_hat, with the newest sample frozen
                 uh_star = coeffs.finish(u_row, kh + w * gh)
@@ -664,12 +649,11 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
                 observer(m + 1, state, uh, g, forcing)
             if detect_blowup(record, initial_record, config.blowup_threshold):
                 return _finish(RunStatus.blow_up(t_next))
-            if past is not None and k == B:
+            if nonlinear and k == B:
                 _fold_block(modes, decay, moments, samples, past)
                 np.matmul(lagged, modes, out=past)
                 # the block's last sample starts the next block
                 block[0] = block[B]
-                start = m + 1
 
     return _finish(RunStatus.completed())
 

@@ -225,6 +225,19 @@ def test_under_resolved_support_is_flagged(tmp_path):
     )
 
 
+def test_simulate_of_fewer_steps_than_a_block(tmp_path):
+    # 4 steps, fewer than stepper._BLOCK: one block of 4 steps without
+    # exponentials, and a run table of every node
+    config = "n = 1\np = 2.0\namplitude = 0.01\ndt = 0.25\nt_end = 1.0\n"
+    assert parse_config(config, "simulate").scenario.n_steps == 4 < stepper._BLOCK
+    code, out = run_cli(tmp_path, config, "simulate")
+    assert code == 0
+    assert read_csv(out / "summary.csv")[0]["status"] == "completed"
+    rows = read_csv(out / "run.csv")
+    assert [float(r["t"]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert float(rows[0]["forcing_l2"]) == 0.0 < float(rows[-1]["forcing_l2"])
+
+
 def test_simulate_blowup_exits_zero(tmp_path):
     code, out = run_cli(tmp_path, TINY_BLOWUP, "simulate")
     assert code == 0

@@ -244,7 +244,7 @@ def _assert_runs_match(grid, mass_floor, **overrides):
     of their max-norm."""
     (h_even, rows_even), (h_full, rows_full) = _run_pair(grid, **overrides)
     config = h_even.config
-    assert (stepper._memory_blocks(config)[1] > 0) == (config.n_steps > stepper._BLOCK)
+    assert (len(stepper._memory_plan(config)[1]) > 0) == (config.n_steps > stepper._BLOCK)
     assert h_even.status == h_full.status
     assert h_full.status.phase is Phase.COMPLETED
     assert len(rows_even) == len(rows_full) == config.n_steps + 1

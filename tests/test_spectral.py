@@ -43,6 +43,20 @@ def test_grid_validation():
         SpatialGrid(1, 1.0, 15)  # odd
 
 
+@pytest.mark.parametrize("half_length", [math.nan, math.inf])
+def test_grid_rejects_a_non_finite_half_length(half_length):
+    with pytest.raises(ValueError, match="half_length"):
+        SpatialGrid(1, half_length, 64)
+
+
+@pytest.mark.parametrize("points", [64.0, np.float64(64.0), "64"])
+def test_grid_rejects_a_non_integer_points_per_dim(points):
+    with pytest.raises(ValueError, match="points_per_dim"):
+        SpatialGrid(1, 10.0, points)
+    # numpy's integers are integers
+    assert SpatialGrid(1, 10.0, np.int64(64)).shape == (64,)
+
+
 def test_grid_frequency_set_is_symmetric(grid1d):
     full = 2.0 * np.pi * np.fft.fftfreq(grid1d.points_per_dim, d=grid1d.dx)
     nonzero = full[np.abs(full) > 0]

@@ -70,6 +70,12 @@ def collected_run(config):
     return run(config, observers=(seen,)), seen
 
 
+def _memory_blocks(config):
+    """Steps per block of the memory sum and the number Q of exponentials."""
+    block, rates, _ = stepper_mod._memory_plan(config)
+    return block, len(rates)
+
+
 def memory_forcing(config, samples, node):
     """The memory forcing at ``node`` recomputed from |u|^p samples 0..node."""
     conv = MemoryConvolution(config.gamma, config.dt, config.n_steps)
@@ -588,7 +594,7 @@ def test_blocked_forcing_matches_direct_sum_at_every_node(
         amplitude=0.05, dt=0.05, t_end=20.0,
     )
     conv = MemoryConvolution(config.gamma, config.dt, config.n_steps)
-    block, terms = stepper_mod._memory_blocks(config)
+    block, terms = _memory_blocks(config)
     assert (block, config.n_steps) == (B, 400) and terms > 0
     history, seen = collected_run(config)
     assert history.status.phase is Phase.COMPLETED
@@ -687,7 +693,7 @@ def _parent_run(config, power=_parent_power_p):
         free, start, weight = row
         return free + (start + weight * f1h)
 
-    B, terms = stepper_mod._memory_blocks(config)
+    B, terms = _memory_blocks(config)
     block = np.zeros((B + 1,) + grid.shape)
     with np.errstate(over="ignore"):
         block[0] = power(state0.u, p)
@@ -792,8 +798,29 @@ def test_run_of_one_block_is_the_direct_loop_bit_for_bit(overrides, monkeypatch)
     monkeypatch.setattr(
         stepper_mod, "_BLOCK", max(stepper_mod._BLOCK, config.n_steps)
     )
-    assert stepper_mod._memory_blocks(config) == (config.n_steps, 0)
+    assert _memory_blocks(config) == (config.n_steps, 0)
     _assert_run_is_the_parent_loop(config)
+
+
+@pytest.mark.parametrize("steps", [1, 5, stepper_mod._BLOCK])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(p=2.5, amplitude=0.5),
+        dict(grid=SpatialGrid(2, 8.0, 32, even=True), support_radius=3.0, p=2.5),
+    ],
+    ids=["n1", "n2-even"],
+)
+def test_short_run_is_the_parent_loop_bit_for_bit(overrides, steps):
+    # at most B steps, unpatched: one block of the run's length whose
+    # history part is zeros, against the parent loop's direct sum (t_end
+    # lies past the last node, since dt must be shorter than t_end)
+    config = small_config(dt=0.125, t_end=0.125 * steps + 0.03, **overrides)
+    assert config.n_steps == steps
+    assert _memory_blocks(config) == (steps, 0)
+    history = _assert_run_is_the_parent_loop(config)
+    assert history.status.phase is Phase.COMPLETED
+    assert len(history.records) == steps + 1
 
 
 @pytest.mark.parametrize(
@@ -822,7 +849,7 @@ def test_run_of_one_block_is_the_direct_loop_bit_for_bit(overrides, monkeypatch)
 )
 def test_blocked_run_is_the_parent_loop_bit_for_bit(overrides, phase):
     config = small_config(**overrides)
-    block, terms = stepper_mod._memory_blocks(config)
+    block, terms = _memory_blocks(config)
     assert config.n_steps > block == stepper_mod._BLOCK and terms > 0
     history = _assert_run_is_the_parent_loop(config)
     assert history.status.phase is phase
@@ -836,7 +863,7 @@ def test_forced_overflow_is_the_parent_loop_bit_for_bit(monkeypatch):
         stepper_mod, "_power_p", lambda u, p, out=None: power_p(1e100 * u, p, out=out)
     )
     config = small_config(p=4.5, amplitude=1e-3, t_end=5.0)
-    assert stepper_mod._memory_blocks(config)[1] > 0
+    assert _memory_blocks(config)[1] > 0
     history = _assert_run_is_the_parent_loop(
         config, lambda u, p: _parent_power_p(1e100 * u, p)
     )
@@ -858,10 +885,10 @@ def test_blow_up_ladder_is_the_same_in_blocks_of_four(grid_points, t_end, monkey
 
     # one block longer than any run of the ladder is the direct sum
     monkeypatch.setattr(stepper_mod, "_BLOCK", 10**6)
-    assert stepper_mod._memory_blocks(small_config(t_end=t_end))[1] == 0
+    assert _memory_blocks(small_config(t_end=t_end))[1] == 0
     direct = ladder()
     monkeypatch.setattr(stepper_mod, "_BLOCK", 4)
-    block, terms = stepper_mod._memory_blocks(small_config(t_end=t_end))
+    block, terms = _memory_blocks(small_config(t_end=t_end))
     assert block == 4 and terms > 0
     blocked = ladder()
     assert all(s.phase is Phase.BLOWUP_DETECTED for s in direct)
@@ -956,7 +983,7 @@ def test_memory_estimate_bounds_traced_peak(dim, points, t_end, even, nonlinear)
         tracemalloc.stop()
     assert history.status.phase is Phase.COMPLETED
     if nonlinear:
-        assert (stepper_mod._memory_blocks(config)[1] > 0) == (
+        assert (_memory_blocks(config)[1] > 0) == (
             config.n_steps > stepper_mod._BLOCK
         )
     estimate = memory_estimate(config)
@@ -968,15 +995,15 @@ def test_memory_blocks_switch_to_blocks_after_one_block():
     B = stepper_mod._BLOCK
     one, two = (small_config(t_end=0.125 * M) for M in (B, B + 1))
     assert (one.n_steps, two.n_steps) == (B, B + 1)
-    assert stepper_mod._memory_blocks(one) == (B, 0)
-    block, terms = stepper_mod._memory_blocks(two)
+    assert _memory_blocks(one) == (B, 0)
+    block, terms = _memory_blocks(two)
     assert block == B and terms > 0
 
 
 def test_memory_estimate_of_blocked_sum_does_not_grow_with_steps():
     grid = SpatialGrid(1, 16.0, 1024)
     long, longer = (small_config(grid=grid, dt=0.05, t_end=t) for t in (50.0, 100.0))
-    block, terms = stepper_mod._memory_blocks(longer)
+    block, terms = _memory_blocks(longer)
     assert terms > 0 and block == stepper_mod._BLOCK
     # twice the steps add a few hundred bytes of records per node and the
     # exponentials of one more ln 2 of rates, ceil(ln 2 / h) + 1 at the
@@ -1023,11 +1050,11 @@ def test_run_is_admitted_in_memory_that_blocks_of_32_would_exceed(monkeypatch):
     needed = memory_estimate(config)
     with monkeypatch.context() as patch:
         patch.setattr(stepper_mod, "_BLOCK", 32)
-        block_32 = stepper_mod._memory_blocks(config)
+        block_32 = _memory_blocks(config)
         needed_at_32 = memory_estimate(config)
     monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: needed_at_32 - 1)
     assert run(config).status.phase is Phase.COMPLETED
-    B, terms = stepper_mod._memory_blocks(config)
+    B, terms = _memory_blocks(config)
     assert config.n_steps > 32 > B and terms > 0 and block_32 == (32, terms)
     points = math.prod(config.grid.shape)
     assert needed_at_32 - needed == (2 * (32 - B) * points + 2 * terms * (32 - B)) * 8
