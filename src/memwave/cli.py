@@ -633,6 +633,9 @@ CUI_TRIPLES = (
 )
 
 # Every verify row, in output order: (suite, case) -> (threshold, comparator).
+# The weak_residual row's refinement ratio (4.00 when dt and dx halve) shows
+# that the trapezoid pairing of a run with the closed-form cutoff profiles
+# is consistent at order 2; it does not measure the scheme's time order.
 VERIFY_CHECKS: dict[tuple[str, str], tuple[float, str]] = {
     ("frac_inversion", "residual"): (0.02, "<="),
     ("frac_inversion", "order"): (0.8, ">="),

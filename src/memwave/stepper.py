@@ -8,12 +8,13 @@ endpoint forcing is resolved by a single predictor-corrector pass.
 A run of M steps on N points sums the memory in blocks of B = 8 steps:
 exact weights within the block, and the history before it carried by Q
 exponentials fitted to (t-s)^(-gamma) on [dt, M dt] to 1e-9 relative
-(:func:`~memwave.frac_ops.exponential_sum`, one trapezoid rule: Q = 34 for
-M = 200 and 42 for M = 3471 at gamma = 0.9), well inside the forcing's
-1e-8 budget.  That costs O(M (B + Q) N) time and (Q + 2B + 1) N doubles of
-memory (51 rows of N at Q = 34) instead of O(M^2 N) and (M + 1) N.  A run
-of at most B steps is one block of M steps with Q = 0: no exponentials and
-a history part of zeros.
+(:func:`~memwave.frac_ops.exponential_sum`, one trapezoid rule: Q = 29 for
+M = 200 and 36 for M = 3471), well inside the forcing's 1e-8 budget.  The
+block's rows past the newest sample hold the history parts of its later
+nodes.  That costs O(M (B + Q) N) time and (Q + B + 1) N doubles of memory
+(38 rows of N at Q = 29) instead of O(M^2 N) and (M + 1) N.  A run of at
+most B steps is one block of M steps with Q = 0: no exponentials and a
+history part of zeros.
 
 A step applies one precomputed per-mode propagator
 (:class:`~memwave.spectral.StepCoefficients`), whose free-flow and
@@ -384,26 +385,26 @@ def _make_record(
 #: node 0).  Observers must not modify the arrays they are given.  The state
 #: may be kept; u_hat, g and the forcing are valid only during the call, so
 #: an observer copies what it keeps of them: g is a row of the memory sum's
-#: block, which later steps rewrite.
+#: block, which the block end and later steps rewrite.
 Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray | None], None]
 
-#: Steps per block of the blocked memory sum.  The sum holds 2B + 1 + Q rows
+#: Steps per block of the blocked memory sum.  The sum holds B + 1 + Q rows
 #: of N doubles, and each block end folds B samples into the Q modes, so a
-#: shorter block holds fewer rows and folds more often.  Rows at Q = 34 and
-#: 42, spectral_3d's peak RSS (perfbench, --trace 0) and the median seconds
-#: of 8 runs of ``run`` without observers, alternating block sizes in one
-#: process, for spectral_3d (64^3, 200 steps) and memory_1d (4096 points,
-#: 3471 steps), on a 2-vCPU VM:
+#: shorter block holds fewer rows and folds more often.  Rows at Q = 29 and
+#: 36, spectral_3d's peak RSS (perfbench, --trace 0, 3 runs) and the median
+#: seconds of 8 runs of ``run`` without observers, alternating block sizes
+#: in one process, for spectral_3d (64^3, 200 steps) and memory_1d (4096
+#: points, 3471 steps), on a 2-vCPU VM:
 #:
-#:   B    rows (Q=34/42)   peak RSS   spectral_3d   memory_1d
-#:   4        43/51        53.9 MiB     0.80 s       2.22 s
-#:   8        51/59        56.4 MiB     0.72 s       2.10 s
-#:   16       67/75        60.7 MiB     0.68 s       2.16 s
-#:   32       99/107       69.5 MiB     0.68 s       2.10 s
+#:   B    rows (Q=29/36)   peak RSS   spectral_3d   memory_1d
+#:   4        34/41        51.8 MiB     1.03 s       2.40 s
+#:   8        38/45        52.9 MiB     0.95 s       2.02 s
+#:   16       46/53        55.1 MiB     0.93 s       2.25 s
+#:   32       62/69        59.9 MiB     0.91 s       2.42 s
 #:
-#: 8 takes a fifth off spectral_3d's peak for about 5 % of its step loop;
-#: 4 would save 2.4 MiB more for another 12 %.  At 193^3 stored points
-#: blocks of 8 hold 2.6 GiB less than blocks of 32.
+#: 8 takes 7 MiB off spectral_3d's peak for about 5 % of its step loop;
+#: 4 would save 1.1 MiB more for another 8 %.  At 193^3 stored points
+#: blocks of 8 hold 1.3 GiB less than blocks of 32.
 _BLOCK = 8
 
 
@@ -431,15 +432,16 @@ def _memory_plan(config: ScenarioConfig) -> tuple[int, np.ndarray, np.ndarray]:
 #: grid (its last axis is halved) and a whole one on the even grid.  The n x
 #: n matrices of the even grid's matrix transforms: the two it caches and
 #: the temporaries that build the second (7.1 matrices at the peak for n =
-#: 257).  The counts, 20 fields with the nonlinearity on and 11 with it
+#: 257).  The counts, 14 fields with the nonlinearity on and 11 with it
 #: off, 30 per-mode arrays and 8 matrices, are the integers that exceed
 #: tracemalloc's peak by 8 % or more in every run of
 #: test_memory_estimate_bounds_traced_peak (full 1-, 2- and 3-D grids of
 #: 1024 to 32768 points and even ones of 257 to 35937 stored points, in one
 #: block and in many, with the nonlinearity on and off) and overshoot it
 #: least: none of them can be lowered by one while the others stay, and the
-#: estimate comes to 1.09-1.41 times the peak.
-_WORKING_ARRAYS = 20
+#: estimate comes to 1.08-1.59 times the peak.  (Other sets are as tight,
+#: trading fields for per-mode arrays; this one keeps the other three.)
+_WORKING_ARRAYS = 14
 _LINEAR_WORKING_ARRAYS = 11
 _MODE_ARRAYS = 30
 _MATRIX_ARRAYS = 8
@@ -457,10 +459,12 @@ _FIXED_BYTES = 64 * 1024
 def memory_estimate(config: ScenarioConfig) -> int:
     """Bytes a run of ``config`` needs at its peak, an upper bound.
 
-    A nonlinear run keeps one block of B + 1 samples, the Q exponential
-    histories and the block's history part, (Q + 2B + 1) * N doubles, N the
-    points the grid stores, plus two Q x (B + 1) weight matrices (Q = 0 and
-    B = M for a run of M <= B steps).  Everything else is O(N) working
+    A nonlinear run keeps one block of B + 1 samples, whose rows hold the
+    history parts of the block's nodes until their samples arrive, and the
+    Q exponential histories: (Q + B + 1) * N doubles, N the points the grid
+    stores, plus two Q x (B + 1) weight matrices (Q = 0 and B = M for a run
+    of M <= B steps) and, at each block end, a scratch tile of
+    B x min(N, 4096) doubles.  Everything else is O(N) working
     arrays, the n x n matrices of an even grid's matrix transforms (n points
     per stored axis) and a few hundred bytes of records per node.  What
     observers keep is their own and not included.
@@ -479,7 +483,8 @@ def _estimate(config: ScenarioConfig, plan: tuple[int, np.ndarray, np.ndarray] |
     if plan is not None:
         block, rates, _ = plan
         terms = len(rates)
-        memory = ((terms + 2 * block + 1) * points + 2 * terms * (block + 1)) * 8
+        tile = block * min(points, _FOLD_TILE)
+        memory = ((terms + block + 1) * points + tile + 2 * terms * (block + 1)) * 8
         fields = _WORKING_ARRAYS
     array = max(points * 8, modes * grid.spectrum_dtype.itemsize)
     working = (
@@ -487,6 +492,14 @@ def _estimate(config: ScenarioConfig, plan: tuple[int, np.ndarray, np.ndarray] |
         + _MATRIX_ARRAYS * grid.transform_matrix_bytes
     )
     return memory + working + nodes * _NODE_BYTES + _FIXED_BYTES
+
+
+#: Columns of the fold's scratch: B x 4096 doubles (256 KiB at B = 8), made
+#: at each fold, hold one tile of a chunk's product at a time.  At 33^3
+#: stored points the tiled fold takes 2.9 ms where one product across all
+#: points takes 3.3 ms, to the same bits (Q = 34; 2.3 and 2.7 ms at Q = 29;
+#: medians of 15 x 20 folds on a 2-vCPU VM)
+_FOLD_TILE = 4096
 
 
 def _fold_block(
@@ -499,18 +512,33 @@ def _fold_block(
     """Fold a finished block into the exponential modes in place:
     ``modes = decay * modes + moments @ samples``.
 
-    The product is formed in row chunks of at most ``len(scratch)`` modes in
-    ``scratch``, the block's history part, which is dead until the caller
-    rewrites it, so the fold allocates no Q x N array.  It goes through
-    numpy's BLAS like every other product of the step loop: numpy and scipy
-    each bundle an OpenBLAS with its own thread pool, and mixing the two in
-    one loop makes their spinning threads compete for the cores.
+    The product is formed in ``scratch``, in chunks of at most
+    ``len(scratch)`` modes and in tiles of nearly equal width, at most
+    ``scratch.shape[1]`` points, so the fold allocates no Q x N array.
+    OpenBLAS's matrix product sums each element's B + 1 terms in one order
+    in any tile, so the bits do not depend on the width.  A chunk of one
+    mode, or a tile of one point, would be a matrix-vector product, whose
+    order follows the tile's offset: no tile is one point wide, and a
+    one-mode chunk is formed across all points at once.
+
+    The fold goes through numpy's BLAS like every other product of the step
+    loop: numpy and scipy each bundle an OpenBLAS with its own thread pool,
+    and mixing the two in one loop makes their spinning threads compete for
+    the cores.
     """
     modes *= decay
-    rows = len(scratch)
+    rows, width = scratch.shape
+    points = samples.shape[1]
+    tiles = -(-points // width)
+    edges = [points * i // tiles for i in range(tiles + 1)]
     for q in range(0, len(modes), rows):
         chunk = moments[q : q + rows]
-        modes[q : q + rows] += np.matmul(chunk, samples, out=scratch[: len(chunk)])
+        if len(chunk) == 1:
+            modes[q] += np.matmul(chunk, samples)[0]
+            continue
+        for lo, hi in zip(edges, edges[1:]):
+            out = scratch[: len(chunk), : hi - lo]
+            modes[q : q + rows, lo:hi] += np.matmul(chunk, samples[:, lo:hi], out=out)
 
 
 def _physical_memory() -> int:
@@ -549,7 +577,9 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
     a block the product-integration weights act on the block's samples, and
     the history before the block enters through Q exponential modes
     H_q = int_0^{t_b} e^(-s_q (t_b - s)) g(s) ds, folded forward at each block
-    end.  At node b + k that history contributes sum_q w_q e^(-s_q k dt) H_q.
+    end.  At node b + k that history contributes sum_q w_q e^(-s_q k dt) H_q,
+    which the block end writes into row k of the block, k = 1 .. B: step k
+    reads it there before the new sample overwrites it.
 
     Non-finite values stop the run as a blow-up or as a numerical failure
     (see :data:`_ONSET_POWER`).  Every ``observer`` is called once per
@@ -606,9 +636,8 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
             decay = np.exp(-B * dt * rates)[:, None]
             moments = exponential_hat_moments(rates, dt, B)
             modes = np.zeros((len(rates), g.size))
-            # the history part of the block's nodes, zero until the first fold
-            past = np.zeros((B, g.size))
             samples = block.reshape(B + 1, -1)
+            tile = (B, min(g.size, _FOLD_TILE))
         for observer in observers:
             observer(0, state0, uh, g, forcing)
 
@@ -618,7 +647,8 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
                 k = m % B + 1
                 # the known part of the memory sum, completed to the forcing
                 known = conv.known_part(block, k)
-                known += past[k - 1].reshape(grid.shape)
+                # block[k] holds node b + k's history part until its sample
+                known += block[k]
                 kh = grid.to_spectrum(known)
                 # the predictor's u_hat, with the newest sample frozen
                 uh_star = coeffs.finish(u_row, kh + w * gh)
@@ -649,11 +679,16 @@ def run(config: ScenarioConfig, observers: Iterable[Observer] = ()) -> SolutionH
                 observer(m + 1, state, uh, g, forcing)
             if detect_blowup(record, initial_record, config.blowup_threshold):
                 return _finish(RunStatus.blow_up(t_next))
-            if nonlinear and k == B:
-                _fold_block(modes, decay, moments, samples, past)
-                np.matmul(lagged, modes, out=past)
-                # the block's last sample starts the next block
-                block[0] = block[B]
+            # the step's temporaries go before the fold and the next step
+            del u_row, v_row
+            if nonlinear:
+                del kh, uh_star, g_star, known, forcing
+                if k == B:
+                    _fold_block(modes, decay, moments, samples, np.empty(tile))
+                    # the block's last sample starts the next block, whose
+                    # other rows take the history parts of its nodes
+                    block[0] = block[B]
+                    np.matmul(lagged, modes, out=samples[1:])
 
     return _finish(RunStatus.completed())
 

@@ -395,7 +395,10 @@ def test_product_weights_are_nonnegative_and_sum_to_kernel_mass():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("gamma", [0.001, 0.01, 0.1, 0.5, 0.9, 0.999])
-@pytest.mark.parametrize("ratio", [10.0, 1e3, 1e5])
+# 9 is the shortest run that takes blocks (B + 1 steps); 52985 is where the
+# error peaks (4.2e-10 at gamma = 0.999) over gamma in [0.001, 0.999] and
+# horizon/dt in [9, 1e5]
+@pytest.mark.parametrize("ratio", [9.0, 10.0, 1e3, 52985.0, 1e5])
 def test_exponential_sum_self_check_holds_up_to_1e5_steps(gamma, ratio):
     horizon = 50.0
     dt = horizon / ratio
@@ -416,6 +419,14 @@ def test_exponential_sum_term_count_stays_bounded(gamma, ratio, most):
     horizon = 50.0
     dt = horizon / ratio
     assert len(exponential_sum(gamma, dt, horizon)[0]) <= most
+
+
+@pytest.mark.parametrize("gamma", [0.001, 0.01, 0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("ratio,terms", [(200.0, 29), (3471.0, 36)])
+def test_exponential_sum_term_count_at_the_benchmark_sizes(gamma, ratio, terms):
+    # the Q that the memory sum's rows, its estimate and the docs quote
+    horizon = 50.0
+    assert len(exponential_sum(gamma, horizon / ratio, horizon)[0]) == terms
 
 
 def test_exponential_sum_check_rejects_a_coarser_step(monkeypatch):

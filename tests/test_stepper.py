@@ -637,6 +637,30 @@ def test_fold_in_chunks_matches_the_dgemm_fold(terms, points):
     assert np.abs(past - want_past).max() <= 1e-15 * np.abs(want_past).max()
 
 
+@pytest.mark.parametrize("points", [4, 1000, 4096, 4097, 65536])
+@pytest.mark.parametrize("terms", [5, 29, 33, 34, 36])
+def test_fold_in_tiles_is_the_full_width_fold_bit_for_bit(terms, points):
+    # tiles of 3, 1000 and the run's width where they are narrower than the
+    # block, in uneven splits (4097 points in tiles of at most 4096 are two
+    # of 2048 and 2049); 29 and 36 are the Q of a run of 200 and of 3471
+    # steps, and 33 leaves a last chunk of one mode
+    B, dt = stepper_mod._BLOCK, 0.05
+    rng = np.random.default_rng(terms * points)
+    rates = np.geomspace(1e-3, 1e3, terms)
+    decay = np.exp(-B * dt * rates)[:, None]
+    moments = exponential_hat_moments(rates, dt, B)
+    samples = rng.uniform(0.0, 1.0, (B + 1, points))
+    start = rng.uniform(0.0, 1.0, (terms, points))
+    want = start.copy()
+    stepper_mod._fold_block(want, decay, moments, samples, np.empty((B, points)))
+    widths = [w for w in (3, 1000, stepper_mod._FOLD_TILE) if w < points]
+    assert widths
+    for width in widths:
+        modes = start.copy()
+        stepper_mod._fold_block(modes, decay, moments, samples, np.empty((B, width)))
+        assert modes.tobytes() == want.tobytes()
+
+
 def _parent_power_p(u, p):
     """|u|^p as a new array."""
     return np.power(np.abs(u), p)
@@ -843,9 +867,12 @@ def test_short_run_is_the_parent_loop_bit_for_bit(overrides, steps):
               amplitude=1e-2, dt=0.05, t_end=2.5), Phase.COMPLETED),
         (dict(grid=SpatialGrid(1, 32.0, 256, even=True), amplitude=1.0, t_end=25.0),
          Phase.BLOWUP_DETECTED),
+        # 33^3 stored points: the fold takes them in more than one tile
+        (dict(grid=SpatialGrid(3, 6.0, 64, even=True), support_radius=2.0, p=4.5,
+              amplitude=1e-2, dt=0.05, t_end=1.0), Phase.COMPLETED),
     ],
     ids=["n1", "n2", "n3", "blowup", "overflow", "n1-even", "n2-even", "n3-even",
-         "blowup-even"],
+         "blowup-even", "n3-even-tiles"],
 )
 def test_blocked_run_is_the_parent_loop_bit_for_bit(overrides, phase):
     config = small_config(**overrides)
