@@ -165,6 +165,16 @@ class DecayFit:
     n_samples: int
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and intercept of y against x, in closed form from
+    the centred data.  A line needs no LAPACK solver: np.linalg.lstsq would
+    load its code into every simulate and sweep for two numbers."""
+    x_mean, y_mean = float(x.mean()), float(y.mean())
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    return slope, y_mean - slope * x_mean
+
+
 def fit_decay_samples(times, values, window: tuple[float, float]) -> DecayFit:
     """Fit a power law (1+t)^exponent through samples inside the window."""
     t_lo, t_hi = window
@@ -181,14 +191,13 @@ def fit_decay_samples(times, values, window: tuple[float, float]) -> DecayFit:
         )
     x = np.log1p(times[mask])
     y = np.log(values[mask])
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
+    slope, intercept = _line_fit(x, y)
+    resid = y - (slope * x + intercept)
     ss_res = float(np.dot(resid, resid))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(
-        exponent=float(coef[0]),
+        exponent=slope,
         r_squared=r2,
         window=(t_lo, t_hi),
         n_samples=int(mask.sum()),
@@ -316,9 +325,7 @@ def cui_bound_check(theta: float, a: float, b: float, t_samples) -> CuiReport:
     if int(tail.sum()) >= 3:
         x = np.log(t_values[tail])
         y = np.log(ratios[tail])
-        design = np.column_stack([x, np.ones_like(x)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        slope = float(coef[0])
+        slope, _ = _line_fit(x, y)
     return CuiReport(
         theta=theta,
         a=a,

@@ -16,6 +16,7 @@ Conventions (order ``alpha`` in (0, 1), grid t_m = m * dt):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -180,6 +181,10 @@ SOE_STEP = 0.38
 SOE_CUTOFF = 1e-10
 #: largest relative error of the sum on [dt, horizon] that exponential_sum accepts
 SOE_TOLERANCE = 1e-9
+#: rates with s * horizon below this are slow: e^(-s tau) is nearly a
+#: polynomial in s on [0, horizon], so a Gauss rule of their discrete measure
+#: carries them in fewer terms (about 13 trapezoid terms become 6 or 7)
+SOE_SLOW = 10.0
 
 
 def exponential_sum(
@@ -189,20 +194,58 @@ def exponential_sum(
 
     One trapezoid rule in x after the substitution s = e^(x - e^(-x)) / T
     (McLean 2018, see SOE_STEP), trimmed to the terms that matter on
-    [dt, horizon].  The number of terms grows with log(horizon/dt) by about
-    one per SOE_STEP in ln(horizon/dt): 36 for dt = 0.0144 and horizon = 50,
-    29 for horizon/dt = 200, at every gamma.  All rates and weights are
-    positive.  The relative error is checked on a log-spaced tau grid (200
-    points per decade) and ValueError is raised when it exceeds
-    SOE_TOLERANCE; on a 5000-point tau grid it stays below 4.2e-10 for 60
-    gamma in [0.001, 0.999] and 45 horizon/dt in [9, 1e5], worst at
-    gamma = 0.999 and horizon/dt = 52985.  (SOE_STEP = 0.5, with 27 terms
-    at the larger size above, misses by 7.8e-8 at gamma = 0.9.)
+    [dt, horizon].  Its slow terms (s * horizon < SOE_SLOW) are then replaced
+    by the m-point Gauss rule of their discrete measure (Golub & Welsch
+    1969, built by :func:`_gauss_rule` without LAPACK), for the smallest m
+    whose sum meets half of SOE_TOLERANCE; when no m does, the trapezoid
+    terms stay.  The trapezoid rule grows with log(horizon/dt) by about one
+    term per SOE_STEP in ln(horizon/dt), and the Gauss rule keeps 7 of its
+    13 slow terms (6 at gamma = 0.001): 30 terms for dt = 0.0144 and
+    horizon = 50, 23 for horizon/dt = 200 (29 and 22 at gamma = 0.001).
+    All rates and weights are positive.  The relative error is checked on a
+    log-spaced tau grid (200 points per decade) and ValueError is raised
+    when it exceeds SOE_TOLERANCE; on a 5000-point tau grid it stays below
+    4.2e-10 for 60 gamma in [0.001, 0.999] and 45 horizon/dt in [9, 1e5],
+    worst at gamma = 0.999 and horizon/dt = 52985.  (SOE_STEP = 0.5, with 27
+    trapezoid terms at the larger size above, misses by 7.8e-8 at
+    gamma = 0.9.)
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if not (0.0 < dt < horizon):
         raise ValueError("need 0 < dt < horizon")
+    rates, weights = _trapezoid_terms(gamma, dt, horizon)
+    tau = np.geomspace(dt, horizon, max(2, math.ceil(200 * math.log10(horizon / dt))))
+    fast = rates * horizon >= SOE_SLOW
+    fast_sum = _sum_at(tau, rates[fast], weights[fast])
+
+    def misfit(slow_rates, slow_weights) -> float:
+        approx = fast_sum + _sum_at(tau, slow_rates, slow_weights)
+        return np.max(np.abs(approx * tau**gamma - 1.0))
+
+    slow_nodes, slow_weights = rates[~fast] * horizon, weights[~fast]
+    for m in range(1, len(slow_nodes)):
+        nodes, masses = _gauss_rule(slow_nodes, slow_weights, m)
+        error = misfit(nodes / horizon, masses)
+        if error <= 0.5 * SOE_TOLERANCE:
+            rates = np.concatenate((nodes / horizon, rates[fast]))
+            weights = np.concatenate((masses, weights[fast]))
+            break
+    else:
+        error = misfit(rates[~fast], slow_weights)
+    if not error <= SOE_TOLERANCE:
+        raise ValueError(
+            f"sum of {len(rates)} exponentials misses tau^(-{gamma}) on "
+            f"[{dt}, {horizon}] by {error:.2e} relative (tolerance {SOE_TOLERANCE})"
+        )
+    return rates, weights
+
+
+def _trapezoid_terms(
+    gamma: float, dt: float, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and weights of McLean's trapezoid rule (see SOE_STEP), trimmed
+    to the terms that matter on [dt, horizon], its flat terms merged."""
     h = SOE_STEP
     top = math.log(1.0 / SOE_CUTOFF) + 1.0
     # phi(x) > x - 1 for x > 0, so x = ln(top * T/dt) + 1 is past the largest
@@ -225,18 +268,79 @@ def exponential_sum(
         rate = np.dot(scaled[flat], rates[flat]) / mass
         rates = np.concatenate(([rate], rates[~flat]))
         scaled = np.concatenate(([mass], scaled[~flat]))
-    weights = scaled * horizon ** (-gamma)
-    tau = np.geomspace(dt, horizon, max(2, math.ceil(200 * math.log10(horizon / dt))))
-    approx = np.zeros_like(tau)
+    return rates, scaled * horizon ** (-gamma)
+
+
+def _sum_at(tau: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_q weights_q e^(-rates_q tau) at every tau, one term at a time."""
+    total = np.zeros_like(tau)
     for s, w in zip(rates, weights):
-        approx += w * np.exp(-s * tau)
-    error = np.max(np.abs(approx * tau**gamma - 1.0))
-    if not error <= SOE_TOLERANCE:
-        raise ValueError(
-            f"sum of {len(rates)} exponentials misses tau^(-{gamma}) on "
-            f"[{dt}, {horizon}] by {error:.2e} relative (tolerance {SOE_TOLERANCE})"
-        )
-    return rates, weights
+        total += w * np.exp(-s * tau)
+    return total
+
+
+def _gauss_rule(
+    nodes: np.ndarray, weights: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss rule of the discrete measure sum_j weights_j delta(nodes_j).
+
+    Its nodes, ascending and inside [min nodes, max nodes], and its positive
+    weights reproduce the measure's moments sum_j weights_j nodes_j^i for
+    i < 2m (m below the number of distinct nodes).  Golub & Welsch, without
+    LAPACK: Lanczos on diag(nodes) from sqrt(weights) gives the Jacobi
+    matrix, bisection on Sturm counts its eigenvalues (the nodes), and the
+    Christoffel numbers 1 / sum_i p_i(x)^2 of the orthonormal polynomials
+    p_i the weights.
+    """
+    mass = weights.sum()
+    # Lanczos, each new vector orthogonalized twice against all earlier ones
+    basis = np.empty((m, len(nodes)))
+    basis[0] = np.sqrt(weights / mass)
+    diag, off = np.empty(m), np.zeros(m)  # off[i] couples rows i - 1 and i
+    for i in range(m):
+        r = nodes * basis[i]
+        diag[i] = r @ basis[i]
+        if i + 1 == m:
+            break
+        for _ in range(2):
+            r -= basis[: i + 1].T @ (basis[: i + 1] @ r)
+        off[i + 1] = math.sqrt(r @ r)
+        basis[i + 1] = r / off[i + 1]
+    # bisection on Sturm counts, in Python floats (m is a handful): the k-th
+    # eigenvalue is the point where the count of those below passes k
+    diag, off = diag.tolist(), off.tolist()
+    reach = [abs(b) + abs(c) for b, c in zip(off, off[1:] + [0.0])]
+    bottom = min(a - r for a, r in zip(diag, reach))
+    top = max(a + r for a, r in zip(diag, reach))
+    close = 4.0 * sys.float_info.epsilon * max(abs(bottom), abs(top))
+    floor = sys.float_info.min / sys.float_info.epsilon
+
+    def count_below(lam: float) -> int:
+        count, pivot = 0, 1.0
+        for a, b in zip(diag, off):
+            pivot = a - lam - b * b / pivot
+            if abs(pivot) < floor:
+                pivot = -floor
+            count += pivot < 0.0
+        return count
+
+    x = np.empty(m)
+    for k in range(m):
+        lo, hi = bottom, top
+        while hi - lo > close:
+            mid = 0.5 * (lo + hi)
+            if count_below(mid) > k:
+                hi = mid
+            else:
+                lo = mid
+        x[k] = 0.5 * (lo + hi)
+    # Christoffel numbers, from the orthonormal recurrence at the nodes
+    p_prev, p = np.zeros(m), np.ones(m)
+    squares = np.ones(m)
+    for i in range(m - 1):
+        p_prev, p = p, ((x - diag[i]) * p - off[i] * p_prev) / off[i + 1]
+        squares += p * p
+    return x, mass / squares
 
 
 def exponential_hat_moments(rates: np.ndarray, dt: float, n_steps: int) -> np.ndarray:

@@ -177,8 +177,10 @@ class SpatialGrid:
         full = 2.0 * np.pi * np.fft.fftfreq(N, d=d)
         return [full.copy() for _ in range(self.dim - 1)] + [half]
 
-    @cached_property
+    @property
     def xi_squared(self) -> np.ndarray:
+        """|xi|^2 per mode, made on each call: only :class:`StepCoefficients`
+        reads it, once, so a grid does not keep it through a run."""
         axes = np.meshgrid(*self.xi_axes, indexing="ij", sparse=True)
         return sum(a**2 for a in axes)
 

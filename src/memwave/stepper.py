@@ -8,11 +8,12 @@ endpoint forcing is resolved by a single predictor-corrector pass.
 A run of M steps on N points sums the memory in blocks of B = 8 steps:
 exact weights within the block, and the history before it carried by Q
 exponentials fitted to (t-s)^(-gamma) on [dt, M dt] to 1e-9 relative
-(:func:`~memwave.frac_ops.exponential_sum`, one trapezoid rule: Q = 29 for
-M = 200 and 36 for M = 3471), well inside the forcing's 1e-8 budget.  The
-block's rows past the newest sample hold the history parts of its later
-nodes.  That costs O(M (B + Q) N) time and (Q + B + 1) N doubles of memory
-(38 rows of N at Q = 29) instead of O(M^2 N) and (M + 1) N.  A run of at
+(:func:`~memwave.frac_ops.exponential_sum`, a trapezoid rule whose slow
+terms become a Gauss rule: Q = 23 for M = 200 and 30 for M = 3471), well
+inside the forcing's 1e-8 budget.  The block's rows past the newest sample
+hold the history parts of its later nodes.  That costs O(M (B + Q) N) time
+and (Q + B + 1) N doubles of memory (32 rows of N at Q = 23) instead of
+O(M^2 N) and (M + 1) N.  A run of at
 most B steps is one block of M steps with Q = 0: no exponentials and a
 history part of zeros.
 
@@ -390,11 +391,12 @@ Observer = Callable[[int, FieldState, np.ndarray, np.ndarray | None, np.ndarray 
 
 #: Steps per block of the blocked memory sum.  The sum holds B + 1 + Q rows
 #: of N doubles, and each block end folds B samples into the Q modes, so a
-#: shorter block holds fewer rows and folds more often.  Rows at Q = 29 and
-#: 36, spectral_3d's peak RSS (perfbench, --trace 0, 3 runs) and the median
-#: seconds of 8 runs of ``run`` without observers, alternating block sizes
-#: in one process, for spectral_3d (64^3, 200 steps) and memory_1d (4096
-#: points, 3471 steps), on a 2-vCPU VM:
+#: shorter block holds fewer rows and folds more often.  Measured at Q = 29
+#: and 36, before the exponential sum's Gauss rule (Q is now 23 and 30, six
+#: rows fewer at every B): rows, spectral_3d's peak RSS (perfbench,
+#: --trace 0, 3 runs) and the median seconds of 8 runs of ``run`` without
+#: observers, alternating block sizes in one process, for spectral_3d (64^3,
+#: 200 steps) and memory_1d (4096 points, 3471 steps), on a 2-vCPU VM:
 #:
 #:   B    rows (Q=29/36)   peak RSS   spectral_3d   memory_1d
 #:   4        34/41        51.8 MiB     1.03 s       2.40 s
@@ -414,7 +416,9 @@ def _memory_plan(config: ScenarioConfig) -> tuple[int, np.ndarray, np.ndarray]:
 
     A run of M steps takes blocks of min(M, B) steps.  When it is longer
     than one block the exponentials are fitted on [dt, horizon] of
-    ``config.time_grid``; a run of at most B steps has Q = 0.
+    ``config.time_grid`` (:func:`~memwave.frac_ops.exponential_sum`: Q = 23
+    at M = 200 and 30 at M = 3471, one fewer at gamma = 0.001); a run of at
+    most B steps has Q = 0.
     """
     time = config.time_grid
     if time.n_steps <= _BLOCK:
@@ -428,20 +432,20 @@ def _memory_plan(config: ScenarioConfig) -> tuple[int, np.ndarray, np.ndarray]:
 #: geometry and the products and transforms' outputs in flight in a step,
 #: fewer in a linear step, which has no known part, predictor or |u|^p
 #: sample.  Real per-mode arrays: the step matrix and the temporaries that
-#: build it, |xi|^2 and the Parseval weights, half a field each on the full
-#: grid (its last axis is halved) and a whole one on the even grid.  The n x
-#: n matrices of the even grid's matrix transforms: the two it caches and
+#: build it, |xi|^2 among them, and the Parseval weights, half a field each
+#: on the full grid (its last axis is halved) and a whole one on the even
+#: grid.  The n x n matrices of the even grid's matrix transforms: the two it caches and
 #: the temporaries that build the second (7.1 matrices at the peak for n =
-#: 257).  The counts, 14 fields with the nonlinearity on and 11 with it
+#: 257).  The counts, 13 fields with the nonlinearity on and 11 with it
 #: off, 30 per-mode arrays and 8 matrices, are the integers that exceed
 #: tracemalloc's peak by 8 % or more in every run of
 #: test_memory_estimate_bounds_traced_peak (full 1-, 2- and 3-D grids of
 #: 1024 to 32768 points and even ones of 257 to 35937 stored points, in one
 #: block and in many, with the nonlinearity on and off) and overshoot it
 #: least: none of them can be lowered by one while the others stay, and the
-#: estimate comes to 1.08-1.59 times the peak.  (Other sets are as tight,
+#: estimate comes to 1.08-1.61 times the peak.  (Other sets are as tight,
 #: trading fields for per-mode arrays; this one keeps the other three.)
-_WORKING_ARRAYS = 14
+_WORKING_ARRAYS = 13
 _LINEAR_WORKING_ARRAYS = 11
 _MODE_ARRAYS = 30
 _MATRIX_ARRAYS = 8

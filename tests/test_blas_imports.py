@@ -118,3 +118,29 @@ def test_simulate_and_sweep_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+REFUSE_LINALG = """
+import numpy as np
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"numpy.linalg.{name} called")
+    return refuse
+
+for name in np.linalg.__all__:
+    if not isinstance(getattr(np.linalg, name), type):
+        setattr(np.linalg, name, _refuse(name))
+"""
+
+
+def test_simulate_and_sweep_call_no_numpy_linalg():
+    # every numpy.linalg function is a LAPACK call: a line fit or a Gauss
+    # rule that took one would page LAPACK's code into every run.  The
+    # simulate below reaches the decay fit and the exponential sum.
+    src = Path(memwave.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_LINALG + RUN_PATH, str(src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

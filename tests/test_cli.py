@@ -225,6 +225,33 @@ def test_under_resolved_support_is_flagged(tmp_path):
     )
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "sweep"])
+@pytest.mark.parametrize("points,smooth", [(1034, 1050), (1024, None)])
+def test_slow_fft_length_gets_a_note(tmp_path, subcommand, points, smooth):
+    # 518 stored points take the FFT path; 1034 = 2 * 11 * 47 is slow there
+    config = f"n = 1\npoints_per_dim = {points}\nt_end = 0.5\nsweep_p = 2.0\n"
+    code, out = run_cli(tmp_path, config, subcommand)
+    assert code == 0
+    notes = [
+        line for line in (out / "summary.txt").read_text().splitlines()
+        if line.startswith("note: points_per_dim")
+    ]
+    if smooth is None:
+        assert notes == []
+    else:
+        assert len(notes) == 1 and notes[0].endswith(f"at or above it is {smooth}")
+
+
+def test_fft_length_notes_name_the_nearest_smooth_length():
+    note, = cli_mod._fft_length_notes(SpatialGrid(1, 100.0, 26434, even=True))
+    assert note.endswith("at or above it is 26460")
+    # the benchmark's grids: 2049 stored points of a smooth length, and the
+    # 2-D and 3-D axes of 129 and 33 points, which take matrix transforms;
+    # so does 202 = 2 * 101, whose 102 stored points need no note
+    for dim, points in ((1, 4096), (2, 256), (3, 64), (2, 202)):
+        assert cli_mod._fft_length_notes(SpatialGrid(dim, 10.0, points, even=True)) == []
+
+
 def test_simulate_of_fewer_steps_than_a_block(tmp_path):
     # 4 steps, fewer than stepper._BLOCK: one block of 4 steps without
     # exponentials, and a run table of every node
