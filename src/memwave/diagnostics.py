@@ -212,56 +212,62 @@ def fit_decay(series: TimeSeries, window: tuple[float, float]) -> DecayFit:
 # singular-convolution bound (three-case estimate)
 # ---------------------------------------------------------------------------
 
-def _singular_convolution(theta: float, a: float, b: float, t: float) -> float:
-    """int_0^t (t-tau)^-theta (1+t-tau)^-a (1+tau)^-b dtau to ~1e-10.
+#: Gauss-Legendre nodes per panel of the singular-convolution quadrature
+_GAUSS_NODES = 24
+
+
+def _panels_from_both_ends(lo: float, hi: float) -> np.ndarray:
+    """Panel edges on [lo, hi]: width 1 at both ends, doubling toward the middle."""
+    half = 0.5 * (hi - lo)
+    widths = 2.0 ** np.arange(64) - 1.0
+    widths = widths[widths < half]
+    return np.concatenate([lo + widths, [lo + half], (hi - widths)[::-1]])
+
+
+def _composite_gauss(f, edges: np.ndarray, rule) -> float:
+    """Sum of the Gauss rule ``rule`` = (nodes, weights) on [-1, 1] over every
+    panel between consecutive ``edges``."""
+    x, w = rule
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    rad = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return float(np.sum(rad * w * f(mid + rad * x)))
+
+
+def _singular_convolution(theta: float, a: float, b: float, t: float, rule) -> float:
+    """int_0^t (t-tau)^-theta (1+t-tau)^-a (1+tau)^-b dtau by composite Gauss.
 
     The endpoint singularity is removed exactly by the substitution
-    u = (t - tau)^(1-theta); for large t the smooth remainder is integrated
-    directly on [0, t-1].
+    u = (t - tau)^(1-theta), whose integrand is smooth but for a power of u
+    at u = 0: its panels halve toward 0 over 20 levels.  For large t the
+    smooth remainder on [0, t-1] is summed on panels that grow from width 1
+    at both ends, where the two factors vary on the scale of 1 + tau and
+    1 + t - tau.
     """
-    # imported here, the one caller of scipy.integrate: at module level it
-    # would load scipy.linalg and its OpenBLAS into every simulate and sweep
-    from scipy.integrate import quad
-
     if theta == 0.0:
-        val, _ = quad(
+        return _composite_gauss(
             lambda tau: (1.0 + t - tau) ** (-a) * (1.0 + tau) ** (-b),
-            0.0,
-            t,
-            epsabs=1e-10,
-            epsrel=1e-10,
-            limit=500,
+            _panels_from_both_ends(0.0, t),
+            rule,
         )
-        return val
     q = 1.0 / (1.0 - theta)
     split = t - 1.0 if t > 2.0 else 0.0
     total = 0.0
     if split > 0.0:
-        v, _ = quad(
+        total += _composite_gauss(
             lambda tau: (t - tau) ** (-theta)
             * (1.0 + t - tau) ** (-a)
             * (1.0 + tau) ** (-b),
-            0.0,
-            split,
-            epsabs=5e-11,
-            epsrel=1e-11,
-            limit=800,
+            _panels_from_both_ends(0.0, split),
+            rule,
         )
-        total += v
 
     def desingularized(u):
         s = u**q  # = t - tau
         return (1.0 + s) ** (-a) * (1.0 + t - s) ** (-b)
 
-    v, _ = quad(
-        desingularized,
-        0.0,
-        (t - split) ** (1.0 - theta),
-        epsabs=5e-11,
-        epsrel=1e-11,
-        limit=800,
-    )
-    return total + v * q
+    top = (t - split) ** (1.0 - theta)
+    edges = np.concatenate([[0.0], top * 0.5 ** np.arange(20, -1, -1)])
+    return total + q * _composite_gauss(desingularized, edges, rule)
 
 
 def singular_convolution_case(theta: float, a: float, b: float) -> str:
@@ -316,7 +322,10 @@ def cui_bound_check(theta: float, a: float, b: float, t_samples) -> CuiReport:
     t_values = np.asarray(t_samples, dtype=float)
     if np.any(t_values <= 0.0):
         raise ValueError("t samples must be positive")
-    lhs = np.array([_singular_convolution(theta, a, b, t) for t in t_values])
+    # built here, not at import: leggauss calls LAPACK, which simulate and
+    # sweep never load
+    rule = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    lhs = np.array([_singular_convolution(theta, a, b, t, rule) for t in t_values])
     bound = singular_convolution_bound(theta, a, b, t_values)
     ratios = lhs / bound
     t_max = t_values.max()

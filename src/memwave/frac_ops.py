@@ -399,7 +399,11 @@ def rl_integral(g: TimeSeries, order: FracOrder) -> TimeSeries:
 # ---------------------------------------------------------------------------
 
 def _fornberg_weights(x0: float, offsets: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 (Fornberg)."""
+    """Finite-difference weights for the m-th derivative at x0 (Fornberg).
+
+    It serves ``verify``'s ``frac_closed_form`` row and the public API;
+    acceptance criterion 2 pins it through ``rl_deriv_right`` at k = 1, 2.
+    """
     n = len(offsets)
     c = np.zeros((n, m + 1))
     c1 = 1.0
@@ -443,6 +447,9 @@ def grid_derivative_n(values: np.ndarray, dt: float, n: int) -> np.ndarray:
     Composing first-derivative stencils amplifies the one-sided endpoint
     truncation error by dt^(-1) per application, so higher derivatives use a
     single (n+3)-point stencil per node instead.
+
+    It serves ``verify``'s ``frac_closed_form`` row and the public API;
+    acceptance criterion 2 pins it through ``rl_deriv_right`` at k = 1, 2.
     """
     if n == 1:
         return grid_derivative(values, dt)
@@ -497,6 +504,9 @@ def rl_deriv_right(f: TimeSeries, order: FracOrder, k: int = 0) -> TimeSeries:
 
     Computed as (-1)^(k+1) d^(k+1)/dt^(k+1) of the order-(1-alpha) right
     fractional integral of f.
+
+    It serves ``verify``'s ``frac_adjoint`` and ``frac_closed_form`` rows
+    and the public API; acceptance criteria 2 and 3 pin it.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"k must be 0, 1 or 2, got {k}")

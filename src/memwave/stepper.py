@@ -525,10 +525,8 @@ def _fold_block(
     order follows the tile's offset: no tile is one point wide, and a
     one-mode chunk is formed across all points at once.
 
-    The fold goes through numpy's BLAS like every other product of the step
-    loop: numpy and scipy each bundle an OpenBLAS with its own thread pool,
-    and mixing the two in one loop makes their spinning threads compete for
-    the cores.
+    The fold goes through numpy's BLAS like every other product, so a run
+    loads one BLAS; the tests keep scipy's ``dgemm`` as the fold's oracle.
     """
     modes *= decay
     rows, width = scratch.shape

@@ -3,39 +3,31 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Simulation-backed criteria use the same desk-scale scenarios
 throughout: boxes sized so the support ball never wraps, Gaussian bump data
-resolved to spectral accuracy.
+resolved to spectral accuracy.  Criteria 1, 2, 3 and 8 measure through
+``memwave verify``'s own functions and keep their tolerances here, so a
+loosened ``cli.VERIFY_CHECKS`` row cannot pass unnoticed.
 """
 
 import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as Gamma
 
+from memwave.cli import CUI_TRIPLES, _verify_cui_rows, _verify_frac_rows
 from memwave.criticality import blow_up_scaling_exponents, compute_exponents
 from memwave.diagnostics import (
     TestFunctionParams,
     WeakPairing,
-    cui_bound_check,
     energy_weight_exponent,
     exterior_energy,
     fit_decay_samples,
+    singular_convolution_case,
     weak_residual,
 )
-from memwave.frac_ops import (
-    CutoffProfile,
-    FracOrder,
-    TimeGrid,
-    TimeSeries,
-    adjointness_sides,
-    cutoff_deriv_closed_form,
-    integration_by_parts_residual,
-    inversion_residual,
-    rl_deriv_right,
-)
+from memwave.frac_ops import CutoffProfile, FracOrder, cutoff_deriv_closed_form
 from memwave.spectral import SpatialGrid
 from memwave.stepper import EXTERIOR_MASS_BUDGET, Phase, ScenarioConfig, run
 
@@ -105,28 +97,29 @@ def global_runs():
     return out
 
 
+@pytest.fixture(scope="module")
+def frac_rows():
+    """verify's frac_* rows: criteria 1-3 measure through the same code."""
+    return _verify_frac_rows()
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_inversion_identity():
-    order = FracOrder(0.5)
-    residuals = []
-    for n_steps in (512, 1024, 2048):
-        grid = TimeGrid(1.0 / n_steps, n_steps)
-        g = TimeSeries(grid, np.sin(grid.times))
-        residuals.append(inversion_residual(g, order) / np.abs(g.values).max())
-    orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
-    ok = residuals[0] <= 0.02 and min(orders) >= 0.8
+def test_criterion_01_inversion_identity(frac_rows):
+    residual = frac_rows["frac_inversion", "residual"]
+    order = frac_rows["frac_inversion", "order"]
+    ok = residual <= 0.02 and order >= 0.8
     report(
         1,
         ok,
-        f"inversion rel sup {residuals[0]:.2e} (tol 2e-2), "
-        f"orders {orders[0]:.2f}/{orders[1]:.2f} (need >= 0.8)",
+        f"inversion rel sup {residual:.2e} (tol 2e-2), "
+        f"worst order {order:.2f} (need >= 0.8)",
     )
 
 
-def test_criterion_02_closed_form_lattice():
+def test_criterion_02_closed_form_lattice(frac_rows):
     # constant confirmed against the quadrature oracle first
     sigma, alpha, t_probe, T = 7.0, 0.3, 0.3, 1.0
     h = 1e-5
@@ -148,17 +141,7 @@ def test_criterion_02_closed_form_lattice():
     )
     constant_ok = abs(closed - oracle) <= 1e-6 * abs(oracle)
 
-    grid = TimeGrid(1.0 / 1024, 1024)
-    worst = 0.0
-    for sig in (5.0, 7.0, 9.0):
-        profile = CutoffProfile(sig, 1.0)
-        w1 = profile.sample(grid)
-        for alf in (0.25, 0.5, 0.75):
-            for k in (0, 1, 2):
-                approx = rl_deriv_right(w1, FracOrder(alf), k)
-                exact = cutoff_deriv_closed_form(profile, FracOrder(alf), k, grid.times)
-                err = np.abs(approx.values - exact).max() / np.abs(exact).max()
-                worst = max(worst, float(err))
+    worst = frac_rows["frac_closed_form", "lattice_worst"]
     ok = constant_ok and worst <= 0.01
     report(
         2,
@@ -168,19 +151,9 @@ def test_criterion_02_closed_form_lattice():
     )
 
 
-def test_criterion_03_adjointness():
-    order = FracOrder(0.5)
-    residuals = []
-    scales = []
-    for n_steps in (512, 1024):
-        grid = TimeGrid(1.0 / n_steps, n_steps)
-        f = TimeSeries(grid, grid.times.copy())
-        g = CutoffProfile(7.0, 1.0).sample(grid)
-        lhs, rhs = adjointness_sides(f, g, order)
-        residuals.append(integration_by_parts_residual(f, g, order))
-        scales.append(max(abs(lhs), abs(rhs)))
-    rel = residuals[0] / scales[0]
-    halving = residuals[1] / residuals[0]
+def test_criterion_03_adjointness(frac_rows):
+    rel = frac_rows["frac_adjoint", "relative_residual"]
+    halving = frac_rows["frac_adjoint", "refinement_ratio"]
     ok = rel <= 0.01 and halving <= 0.5
     report(
         3,
@@ -282,38 +255,21 @@ def test_criterion_07_blowup_regime_and_ladder():
     )
 
 
-CUI_TRIPLES = (
-    ("super", 0.5, 1.0, 2.0),
-    ("super", 0.3, 1.5, 0.4),
-    ("super", 0.7, 0.8, 1.2),
-    ("log", 0.5, 0.5, 1.0),
-    ("log", 0.3, 0.7, 0.5),
-    ("log", 0.2, 0.8, 1.0),
-    ("sub", 0.2, 0.1, 0.3),
-    ("sub", 0.1, 0.2, 0.4),
-    ("sub", 0.3, 0.1, 0.4),
-)
-
-
 def test_criterion_08_cui_estimate_table():
-    ts = np.geomspace(1.0, 1e4, 40)
-    ok = True
-    worst_slope = -math.inf
-    sup = 0.0
-    for expected_case, theta, a, b in CUI_TRIPLES:
-        rep = cui_bound_check(theta, a, b, ts)
-        ok &= rep.case == expected_case
-        ok &= math.isfinite(rep.sup_ratio)
-        # non-increasing trend: fitted last-decade slope at most 0.01 (the
-        # sub case converges to its constant from below; see ledger)
-        ok &= rep.last_decade_slope <= 0.01
-        worst_slope = max(worst_slope, rep.last_decade_slope)
-        sup = max(sup, rep.sup_ratio)
+    # each label names the case its triple must fall in
+    cases_ok = all(
+        singular_convolution_case(theta, a, b) == label.split("_")[0]
+        for label, theta, a, b in CUI_TRIPLES
+    )
+    sups, slopes = zip(*_verify_cui_rows().values())
+    # non-increasing trend: fitted last-decade slope at most 0.01 (the
+    # sub case converges to its constant from below; see ledger)
+    ok = cases_ok and all(map(math.isfinite, sups)) and max(slopes) <= 0.01
     report(
         8,
         ok,
-        f"9 triples: sup ratio {sup:.2f} finite, worst last-decade slope "
-        f"{worst_slope:.4f} (tol 0.01)",
+        f"9 triples: cases match {cases_ok}, sup ratio {max(sups):.2f} finite, "
+        f"worst last-decade slope {max(slopes):.4f} (tol 0.01)",
     )
 
 

@@ -1,4 +1,5 @@
-"""The step loop makes every BLAS call through numpy's library.
+"""A run makes every BLAS call through numpy's library, and memwave needs
+no scipy at all.
 
 The numpy and scipy wheels each bundle their own OpenBLAS, and each library
 keeps its own thread pool.  When one loop calls both, the two pools' spinning
@@ -6,7 +7,8 @@ workers compete for the same cores.  With the block-end fold of the memory
 sum in scipy's ``dgemm`` and every other product in numpy, the memory_1d
 benchmark workload took 2.74 s (median of 10 runs on a 2-vCPU VM); with the
 fold in numpy's ``matmul`` it took 1.50 s, and sweep_2d went from 6.88 to
-4.99 s.  A ``simulate`` or ``sweep`` loads no scipy module at all.
+4.99 s.  No module of the package imports scipy, so numpy is its one
+run-time dependency; the tests keep scipy as their oracle.
 """
 
 import ast
@@ -18,7 +20,7 @@ import pytest
 
 import memwave
 
-LOOP_MODULES = ("stepper.py", "spectral.py")
+PACKAGE = Path(memwave.__file__).parent
 
 
 def _imported_modules(tree: ast.Module) -> list[str]:
@@ -34,15 +36,15 @@ def _imported_modules(tree: ast.Module) -> list[str]:
     return names
 
 
-def _from_scipy_linalg(name: str) -> bool:
-    return name == "scipy.linalg" or name.startswith("scipy.linalg.")
+def _from_scipy(name: str) -> bool:
+    return name == "scipy" or name.startswith("scipy.")
 
 
-@pytest.mark.parametrize("module", LOOP_MODULES)
-def test_step_loop_imports_nothing_from_scipy_linalg(module):
-    path = Path(memwave.__file__).parent / module
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_no_module_imports_scipy(module):
+    path = PACKAGE / module
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    offending = [n for n in _imported_modules(tree) if _from_scipy_linalg(n)]
+    offending = [n for n in _imported_modules(tree) if _from_scipy(n)]
     assert offending == [], f"{module} imports {offending}"
 
 
@@ -53,38 +55,13 @@ def test_step_loop_imports_nothing_from_scipy_linalg(module):
         ("import scipy.linalg\n", True),
         ("from scipy import linalg\n", True),
         ("import scipy.linalg.blas as blas\n", True),
-        ("import scipy.fft\nfrom scipy.special import erfc\n", False),
+        ("import scipy.fft\nfrom scipy.special import erfc\n", True),
+        ("import numpy.linalg\nfrom scipy_extras import quad\n", False),
     ],
 )
 def test_guard_sees_every_import_form(source, found):
     names = _imported_modules(ast.parse(source))
-    assert any(_from_scipy_linalg(n) for n in names) is found
-
-
-SIMULATE = """
-import sys, tempfile
-from pathlib import Path
-
-sys.path.insert(0, sys.argv[1])
-from memwave import cli
-
-with tempfile.TemporaryDirectory() as tmp:
-    config = Path(tmp) / "scenario.cfg"
-    config.write_text("n = 1\\npoints_per_dim = 64\\nt_end = 1\\n")
-    assert cli.main(["simulate", "--config", str(config), "--out", tmp]) == 0
-print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.linalg"))))
-"""
-
-
-def test_simulate_loads_neither_scipy_integrate_nor_scipy_linalg():
-    # scipy.integrate imports scipy.linalg, whose OpenBLAS a simulate or a
-    # sweep would load next to numpy's; only verify's integrals need it
-    src = Path(memwave.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", SIMULATE, str(src)], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert any(_from_scipy(n) for n in names) is found
 
 
 RUN_PATH = """
@@ -104,17 +81,24 @@ for command, text in runs:
         config = Path(tmp) / "scenario.cfg"
         config.write_text(text)
         assert cli.main([command, "--config", str(config), "--out", tmp]) == 0
+"""
+
+VERIFY_AND_LIST_SCIPY = """
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["verify", "--out", tmp]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_simulate_and_sweep_load_no_scipy():
+def test_simulate_sweep_and_verify_load_no_scipy():
     # scipy.fft and scipy.special cost 27 MiB of resident memory and about
     # 0.3 s of start-up per run on a 2-vCPU VM, for transforms and a Gamma
-    # function that numpy and the standard library have
-    src = Path(memwave.__file__).resolve().parent.parent
+    # function that numpy and the standard library have; verify's quad
+    # loaded 355 scipy modules and scipy's OpenBLAS for nine integrals
+    src = PACKAGE.resolve().parent
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_PATH, str(src)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", RUN_PATH + VERIFY_AND_LIST_SCIPY, str(src)],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

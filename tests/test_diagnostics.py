@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from memwave import spectral as spectral_mod
+from memwave.cli import CUI_TRIPLES
 from memwave.criticality import blow_up_scaling_exponents
 from memwave.diagnostics import (
     TestFunctionParams,
@@ -345,6 +346,34 @@ def test_cui_theta_zero_plain_kernel():
     rep = cui_bound_check(0.0, 0.6, 0.7, [2.0])
     direct, _ = quad(lambda tau: (3.0 - tau) ** -0.6 * (1.0 + tau) ** -0.7, 0.0, 2.0)
     assert rep.lhs[0] == pytest.approx(direct, rel=1e-9)
+
+
+def _weighted_quad_oracle(theta, a, b, t):
+    """scipy's QAWS: (t - tau)^-theta is quad's algebraic weight, not part of
+    the integrand, so the endpoint singularity is integrated exactly."""
+    value, _ = quad(
+        lambda tau: (1.0 + t - tau) ** (-a) * (1.0 + tau) ** (-b),
+        0.0,
+        t,
+        weight="alg",
+        wvar=(0.0, -theta),
+        epsabs=0.0,
+        epsrel=1e-12,
+        limit=1000,
+    )
+    return value
+
+
+@pytest.mark.parametrize(
+    "theta,a,b,ts",
+    [(theta, a, b, np.geomspace(1.0, 1e4, 40)) for _, theta, a, b in CUI_TRIPLES]
+    + [(0.0, 0.6, 0.7, [2.0, 1e2, 1e4])],
+    ids=[label for label, *_ in CUI_TRIPLES] + ["theta_0"],
+)
+def test_cui_quadrature_against_weighted_quad(theta, a, b, ts):
+    lhs = cui_bound_check(theta, a, b, ts).lhs
+    want = [_weighted_quad_oracle(theta, a, b, t) for t in ts]
+    np.testing.assert_allclose(lhs, want, rtol=1e-11, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

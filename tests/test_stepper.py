@@ -614,11 +614,11 @@ def _dgemm_fold(modes, decay, moments, samples, lagged, past):
 
 
 @pytest.mark.parametrize("points", [4, 1000, 4096, 65536])
-@pytest.mark.parametrize("terms", [5, 32, 33, 34, 42, 99, 127, 200])
+@pytest.mark.parametrize("terms", [5, 23, 30, 32, 33, 34, 42, 99, 127, 200])
 def test_fold_in_chunks_matches_the_dgemm_fold(terms, points):
     # fewer modes than the B = 8 rows of one chunk, whole chunks only, and a
-    # last chunk of 1, 2, 3 or 7 rows; 34 and 42 are the Q of a run of 200
-    # and of 3471 steps at gamma = 0.9 (the benchmark's 3-D and 1-D runs)
+    # last chunk of 1, 2, 3, 6 or 7 rows; 23 and 30 are the Q of a run of 200
+    # and of 3471 steps (the benchmark's 3-D and 1-D runs)
     B, dt = stepper_mod._BLOCK, 0.05
     rng = np.random.default_rng(terms * points)
     rates = np.geomspace(1e-3, 1e3, terms)
@@ -638,11 +638,11 @@ def test_fold_in_chunks_matches_the_dgemm_fold(terms, points):
 
 
 @pytest.mark.parametrize("points", [4, 1000, 4096, 4097, 65536])
-@pytest.mark.parametrize("terms", [5, 29, 33, 34, 36])
+@pytest.mark.parametrize("terms", [5, 23, 29, 30, 33, 34, 36])
 def test_fold_in_tiles_is_the_full_width_fold_bit_for_bit(terms, points):
     # tiles of 3, 1000 and the run's width where they are narrower than the
     # block, in uneven splits (4097 points in tiles of at most 4096 are two
-    # of 2048 and 2049); 29 and 36 are the Q of a run of 200 and of 3471
+    # of 2048 and 2049); 23 and 30 are the Q of a run of 200 and of 3471
     # steps, and 33 leaves a last chunk of one mode
     B, dt = stepper_mod._BLOCK, 0.05
     rng = np.random.default_rng(terms * points)
