@@ -64,6 +64,32 @@ def test_guard_sees_every_import_form(source, found):
     assert any(_from_scipy(n) for n in names) is found
 
 
+SIMULATE = """
+import sys, tempfile
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+from memwave import cli
+
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "scenario.cfg"
+    config.write_text("n = 1\\npoints_per_dim = 64\\nt_end = 1\\n")
+    assert cli.main(["simulate", "--config", str(config), "--out", tmp]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.linalg"))))
+"""
+
+
+def test_simulate_loads_neither_scipy_integrate_nor_scipy_linalg():
+    # scipy.integrate imports scipy.linalg, whose OpenBLAS a simulate or a
+    # sweep would load next to numpy's
+    src = PACKAGE.resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMULATE, str(src)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 RUN_PATH = """
 import sys, tempfile
 from pathlib import Path
@@ -83,25 +109,42 @@ for command, text in runs:
         assert cli.main([command, "--config", str(config), "--out", tmp]) == 0
 """
 
-VERIFY_AND_LIST_SCIPY = """
+VERIFY = """
+import sys, tempfile
+
+sys.path.insert(0, sys.argv[1])
+from memwave import cli
+
 with tempfile.TemporaryDirectory() as tmp:
     assert cli.main(["verify", "--out", tmp]) == 0
+"""
+
+LIST_SCIPY = """
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_simulate_sweep_and_verify_load_no_scipy():
-    # scipy.fft and scipy.special cost 27 MiB of resident memory and about
-    # 0.3 s of start-up per run on a 2-vCPU VM, for transforms and a Gamma
-    # function that numpy and the standard library have; verify's quad
-    # loaded 355 scipy modules and scipy's OpenBLAS for nine integrals
+def _scipy_modules_after(script: str) -> str:
     src = PACKAGE.resolve().parent
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_PATH + VERIFY_AND_LIST_SCIPY, str(src)],
+        [sys.executable, "-c", script + LIST_SCIPY, str(src)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_simulate_and_sweep_load_no_scipy():
+    # scipy.fft and scipy.special cost 27 MiB of resident memory and about
+    # 0.3 s of start-up per run on a 2-vCPU VM, for transforms and a Gamma
+    # function that numpy and the standard library have
+    assert _scipy_modules_after(RUN_PATH) == "[]"
+
+
+def test_verify_loads_no_scipy():
+    # verify's quad loaded 355 scipy modules and scipy's OpenBLAS for nine
+    # integrals
+    assert _scipy_modules_after(VERIFY) == "[]"
 
 
 REFUSE_LINALG = """
@@ -122,7 +165,7 @@ def test_simulate_and_sweep_call_no_numpy_linalg():
     # every numpy.linalg function is a LAPACK call: a line fit or a Gauss
     # rule that took one would page LAPACK's code into every run.  The
     # simulate below reaches the decay fit and the exponential sum.
-    src = Path(memwave.__file__).resolve().parent.parent
+    src = PACKAGE.resolve().parent
     proc = subprocess.run(
         [sys.executable, "-c", REFUSE_LINALG + RUN_PATH, str(src)],
         capture_output=True, text=True, timeout=120,
