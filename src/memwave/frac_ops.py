@@ -171,19 +171,14 @@ def product_weights(alpha: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]
 #: (McLean, "Exponential sum approximations for t^(-beta)", 2018): nodes
 #: x_j = j * SOE_STEP give the rates s_j = e^phi(x_j) / T.  Terms with
 #: s_j * dt >= ln(1/SOE_CUTOFF) + 1 are below SOE_CUTOFF / e at every
-#: tau >= dt, and terms of weight below 1e-2 * SOE_CUTOFF * T^(-gamma) are
-#: negligible.  Terms with s_j * T < 1e-4 are merged into one term of the
-#: same mass and first moment; on [0, T] it differs from them by at most
-#: (1e-4)^2 / 2 of their mass, since the difference starts at second order
-#: in s tau, and the merge moves the sum by at most 1.6e-12 relative over
-#: the sweep in exponential_sum's docstring while it drops 2 to 4 terms
+#: tau >= dt and are cut
 SOE_STEP = 0.38
 SOE_CUTOFF = 1e-10
 #: largest relative error of the sum on [dt, horizon] that exponential_sum accepts
 SOE_TOLERANCE = 1e-9
 #: rates with s * horizon below this are slow: e^(-s tau) is nearly a
 #: polynomial in s on [0, horizon], so a Gauss rule of their discrete measure
-#: carries them in fewer terms (about 13 trapezoid terms become 6 or 7)
+#: carries them in fewer terms (17 to 35 trapezoid terms become 6 or 7)
 SOE_SLOW = 10.0
 
 
@@ -200,9 +195,12 @@ def exponential_sum(
     whose sum meets half of SOE_TOLERANCE; when no m does, the trapezoid
     terms stay.  The trapezoid rule grows with log(horizon/dt) by about one
     term per SOE_STEP in ln(horizon/dt), and the Gauss rule keeps 7 of its
-    13 slow terms (6 at gamma = 0.001): 30 terms for dt = 0.0144 and
-    horizon = 50, 23 for horizon/dt = 200 (29 and 22 at gamma = 0.001).
-    All rates and weights are positive.  The relative error is checked on a
+    slow terms, 17 at gamma = 0.999 and more at smaller gamma (6 of 35 at
+    gamma = 0.001): 30 terms for dt = 0.0144 and horizon = 50, 23 for
+    horizon/dt = 200 (29 and 22 at gamma = 0.001).  All rates and weights
+    are positive: the Gauss nodes lie strictly inside the span of the slow
+    rates, whose smallest underflow to 0 at small gamma (11 of the 35 at
+    gamma = 0.001).  The relative error is checked on a
     log-spaced tau grid (200 points per decade) and ValueError is raised
     when it exceeds SOE_TOLERANCE; on a 5000-point tau grid it stays below
     4.2e-10 for 60 gamma in [0.001, 0.999] and 45 horizon/dt in [9, 1e5],
@@ -245,7 +243,7 @@ def _trapezoid_terms(
     gamma: float, dt: float, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rates and weights of McLean's trapezoid rule (see SOE_STEP), trimmed
-    to the terms that matter on [dt, horizon], its flat terms merged."""
+    to the terms that matter on [dt, horizon]."""
     h = SOE_STEP
     top = math.log(1.0 / SOE_CUTOFF) + 1.0
     # phi(x) > x - 1 for x > 0, so x = ln(top * T/dt) + 1 is past the largest
@@ -258,17 +256,8 @@ def _trapezoid_terms(
     rates = np.exp(phi) / horizon
     # weights times T^gamma; phi'(x) = 1 + e^(-x)
     scaled = h * np.exp(gamma * phi) * (1.0 + np.exp(-x)) / math.gamma(gamma)
-    keep = (rates * dt < top) & (scaled > 1e-2 * SOE_CUTOFF)
-    rates, scaled = rates[keep], scaled[keep]
-    flat = rates * horizon < 1e-4
-    if flat.any():
-        # one term of the same mass and first moment, so its rate is positive
-        # even where the smallest rates underflow
-        mass = scaled[flat].sum()
-        rate = np.dot(scaled[flat], rates[flat]) / mass
-        rates = np.concatenate(([rate], rates[~flat]))
-        scaled = np.concatenate(([mass], scaled[~flat]))
-    return rates, scaled * horizon ** (-gamma)
+    keep = rates * dt < top
+    return rates[keep], scaled[keep] * horizon ** (-gamma)
 
 
 def _sum_at(tau: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -191,11 +191,11 @@ class SpatialGrid:
         grid the symbol is -xi, the derivative of the cosine modes taken as
         sine modes (see :meth:`to_field`)."""
         out = []
-        nyq = np.pi * self.points_per_dim / (2.0 * self.half_length)
         for axis in range(self.dim):
             comp = np.meshgrid(*self.xi_axes, indexing="ij", sparse=True)[axis]
             sym = -comp if self.even else 1j * comp
-            sym[np.isclose(np.abs(comp), nyq)] = 0.0
+            # the Nyquist mode is index N/2 on a halved and on a full axis
+            sym[(0,) * axis + (self.points_per_dim // 2,)] = 0.0
             out.append(sym)
         return out
 

@@ -4,6 +4,7 @@ import csv
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -828,3 +829,18 @@ def test_verify_missing_measurement_is_an_infrastructure_failure(tmp_path, monke
     monkeypatch.setattr(cli_mod, "_weak_refinement_pair", lambda: 2.0)
     monkeypatch.setattr(cli_mod, "_verify_symbol_rows", lambda: {})
     assert main(["verify", "--out", str(tmp_path / "out")]) == 1
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    # README's "## Library example" block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    exponents, status, verdict = capsys.readouterr().out.splitlines()
+    assert exponents == "15/4 4"
+    phase, t = status.split()
+    assert phase == "Phase.BLOWUP_DETECTED" and float(t) < 3.0
+    assert verdict == "BlowUpPositiveData"
+    assert namespace["peaks"]

@@ -1,6 +1,5 @@
 """Exact exponent algebra: closed forms, limits, classification, scaling."""
 
-import math
 from fractions import Fraction
 
 import pytest

@@ -32,7 +32,7 @@ from memwave.diagnostics import (
 )
 from memwave.frac_ops import FracOrder, TimeGrid, TimeSeries, gamma_ratio, trapezoid_weights
 from memwave.spectral import FieldState, SpatialGrid, linear_evolve
-from memwave.stepper import ScenarioConfig, make_initial_data, run
+from memwave.stepper import ScenarioConfig, run
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,7 @@ def test_exponential_sum_term_count_at_the_benchmark_sizes(gamma, ratio, terms):
     assert len(exponential_sum(gamma, horizon / ratio, horizon)[0]) == terms
 
 
-@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.001, 0.01])
 @pytest.mark.parametrize("ratio", [200.0, 3471.0])
 def test_gauss_rule_reproduces_the_moments_of_the_slow_terms(gamma, ratio):
     import memwave.frac_ops as frac_ops
@@ -448,6 +448,8 @@ def test_gauss_rule_reproduces_the_moments_of_the_slow_terms(gamma, ratio):
         nodes, masses = frac_ops._gauss_rule(s, w, m)
         assert len(nodes) == len(masses) == m
         assert (nodes >= s.min()).all() and (nodes <= s.max()).all()
+        # positive even where the smallest slow rates underflow to 0
+        assert (nodes > 0.0).all()
         assert (masses > 0.0).all()
         for j in range(2 * m):
             want = np.dot(w, s**j)

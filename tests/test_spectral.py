@@ -99,6 +99,15 @@ def test_gradient_squared_is_the_sum_of_squared_components(dim, points, even):
         )
 
 
+@pytest.mark.parametrize("even", [True, False], ids=["even", "full"])
+def test_grad_symbol_zeroes_only_the_nyquist_mode_on_a_long_axis(even):
+    # 2^18 points: Nyquist's neighbours lie within a relative 1e-5 of it
+    grid = SpatialGrid(1, 32768.0, 2**18, even=even)
+    (xi,), (sym,) = grid.xi_axes, grid.grad_symbols
+    zeroed = np.flatnonzero((sym == 0.0) & (xi != 0.0))
+    assert zeroed.tolist() == [grid.points_per_dim // 2]
+
+
 def test_field_state_validation(grid1d):
     good = np.zeros(grid1d.shape)
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from memwave.stepper import (
     MemoryConvolution,
     Phase,
     ScenarioConfig,
-    SolutionHistory,
     StepRecord,
     default_dt,
     detect_blowup,
