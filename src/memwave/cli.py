@@ -302,41 +302,7 @@ def emit_report(report: SummaryReport, output_dir: Path) -> list[Path]:
 # simulate
 # ---------------------------------------------------------------------------
 
-class _RunTable(Sequence):
-    """A run table's rows as a read-only view: a row's dict is built when it
-    is read, from the run's records and the exterior energies observed at
-    the table's nodes, so a table holds one record and one exterior energy
-    per row."""
-
-    def __init__(self, records, config, nodes, exterior):
-        self._records = records
-        self._config = config
-        self._nodes = nodes
-        self._exterior = exterior
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        record = self._records[self._nodes[index]]
-        config = self._config
-        return {
-            "t": record.t,
-            "l2_u": record.l2_u,
-            "h1_u": record.h1_u,
-            "l2_du": record.l2_du,
-            "W": diagnostics.energy_W_from_norm(
-                record.t, record.l2_du, config.dim, config.gamma
-            ),
-            "exterior_energy": self._exterior[index],
-            "forcing_l2": record.forcing_l2,
-            "exterior_mass": record.exterior_mass,
-        }
-
-
-class _RunRows:
+class _RunRows(Sequence):
     """Observer of :func:`stepper.run` that builds the rows of a run table.
 
     Rows sit at multiples of a stride that comes from the planned step count
@@ -350,6 +316,11 @@ class _RunRows:
     whose exterior energy :meth:`rows` takes with one forward transform.
     The nodes and their exterior energies are kept in typed arrays, 16 bytes
     a row.
+
+    After :meth:`rows` the observer is the table's rows as a read-only
+    view: a row's dict is built when it is read, from the run's records and
+    the exterior energy observed at the row's node, so a table holds one
+    record and one exterior energy per row.
     """
 
     def __init__(
@@ -358,6 +329,8 @@ class _RunRows:
         nodes = config.time_grid.n_nodes
         self.stride = 1 if full_resolution else max(1, math.ceil(nodes / MAX_TIMESERIES_ROWS))
         self.delta = delta
+        self.config = config
+        self.records = ()
         self.nodes = array("q")
         self.exterior = array("d")
 
@@ -369,18 +342,40 @@ class _RunRows:
         if node % self.stride == 0:
             self._observe(node, state, uh)
 
-    def rows(self, history: stepper.SolutionHistory) -> _RunTable:
-        """The table's rows, a view over the run's records and the observed
-        nodes; it holds ``history.records``, not the history and its states."""
+    def rows(self, history: stepper.SolutionHistory) -> _RunRows:
+        """Attach the run's records and return the observer as the table's
+        rows; it holds ``history.records``, not the history and its states."""
         last = len(history.records) - 1
         if not self.nodes or self.nodes[-1] != last:
             self._observe(last, history.states[-1])
-        return _RunTable(history.records, history.config, self.nodes, self.exterior)
+        self.records = history.records
+        return self
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        record = self.records[self.nodes[index]]
+        config = self.config
+        return {
+            "t": record.t,
+            "l2_u": record.l2_u,
+            "h1_u": record.h1_u,
+            "l2_du": record.l2_du,
+            "W": diagnostics.energy_W_from_norm(
+                record.t, record.l2_du, config.dim, config.gamma
+            ),
+            "exterior_energy": self.exterior[index],
+            "forcing_l2": record.forcing_l2,
+            "exterior_mass": record.exterior_mass,
+        }
 
 
 def _simulate_rows(
     scenario: stepper.ScenarioConfig, manifest: RunManifest
-) -> tuple[stepper.SolutionHistory, _RunTable]:
+) -> tuple[stepper.SolutionHistory, _RunRows]:
     """Run one scenario and return its history with its run-table rows."""
     observer = _RunRows(scenario, manifest.delta, manifest.full_resolution)
     history = stepper.run(scenario, observers=(observer,))
@@ -431,15 +426,23 @@ def _add_flag(row: dict, flag: str) -> None:
 
 
 def _summarize_run(
-    label: str, scenario: stepper.ScenarioConfig, history: stepper.SolutionHistory
+    label: str,
+    scenario: stepper.ScenarioConfig,
+    history: stepper.SolutionHistory,
+    notes: list[str],
 ) -> dict:
+    """The run's summary row; a numerical failure also adds its time and
+    reason to ``notes``, since the row has no cell for the reason."""
     n = scenario.dim
+    status = history.status
     row = _scenario_row(label, scenario)
-    row["status"] = history.status.phase.value
-    row["t_detect"] = history.status.t if history.status.t is not None else ""
+    row["status"] = status.phase.value
+    row["t_detect"] = status.t if status.t is not None else ""
+    if status.phase is stepper.Phase.NUMERICAL_FAILURE:
+        notes.append(f"{label}: {status.phase.value} at t = {_fmt(status.t)}: {status.reason}")
     times = history.times
     l2_du = history.record_array("l2_du")
-    if history.status.phase is stepper.Phase.COMPLETED:
+    if status.phase is stepper.Phase.COMPLETED:
         W = diagnostics.energy_W_from_norm(times, l2_du, n, scenario.gamma)
         row["sup_W"] = float(np.max(W))
         try:
@@ -506,7 +509,7 @@ def _cmd_simulate(manifest: RunManifest) -> SummaryReport:
     report.notes.extend(_fft_length_notes(manifest.scenario.grid))
     history, rows = _simulate_rows(manifest.scenario, manifest)
     report.tables["run"] = (RUN_COLUMNS, rows)
-    summary = _summarize_run("run", manifest.scenario, history)
+    summary = _summarize_run("run", manifest.scenario, history, report.notes)
     summary["verdict"] = ""
     report.summary_rows.append(summary)
     report.long_rows = _melt([("run", rows)], RUN_COLUMNS[1:])
@@ -586,6 +589,7 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
 
     The exception's class goes to the entry's ``flag`` and its message to a
     note in summary.txt; the other entries complete and are written as usual.
+    An entry that ends in a numerical failure gets a note with its reason.
     An entry keeps its summary row and its run table, a view over its
     records; its history, with the initial and final states, is dropped
     before the next entry runs.
@@ -608,7 +612,7 @@ def _cmd_sweep(manifest: RunManifest) -> SummaryReport:
             report.notes.append(f"{label} failed: {type(exc).__name__}: {exc}")
             rows = None
         else:
-            summary = _summarize_run(label, scenario, history)
+            summary = _summarize_run(label, scenario, history, report.notes)
             completed = history.status.phase is stepper.Phase.COMPLETED
             if verdict.tag == "BlowUpPositiveData" and completed:
                 _add_flag(summary, "horizon_too_short")

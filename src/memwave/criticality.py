@@ -27,8 +27,6 @@ def _ratio(numerator, denominator):
     den = _positive_part(denominator)
     if den == 0:
         return INF
-    if isinstance(numerator, Fraction) or isinstance(den, Fraction):
-        return Fraction(numerator) / Fraction(den)
     return numerator / den
 
 
@@ -226,7 +224,7 @@ def classify(n: int, gamma: Number, p: Number, traits: DataTraits) -> RegimeVerd
             tag="BlowUpPositiveData",
             citation="blow-up clause i: (n-2)/n < gamma < 1, p <= p_gamma",
         )
-    in_window = n in (1, 2, 3) and _in_global_window(n, gamma)
+    in_window = _in_global_window(n, gamma)
     if in_window and p > exps.p_n and traits.small_data and traits.compact_support:
         return RegimeVerdict(
             tag="GlobalSmallData",

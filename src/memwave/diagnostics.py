@@ -237,18 +237,12 @@ def _singular_convolution(theta: float, a: float, b: float, t: float, rule) -> f
     """int_0^t (t-tau)^-theta (1+t-tau)^-a (1+tau)^-b dtau by composite Gauss.
 
     The endpoint singularity is removed exactly by the substitution
-    u = (t - tau)^(1-theta), whose integrand is smooth but for a power of u
-    at u = 0: its panels halve toward 0 over 20 levels.  For large t the
-    smooth remainder on [0, t-1] is summed on panels that grow from width 1
-    at both ends, where the two factors vary on the scale of 1 + tau and
-    1 + t - tau.
+    u = (t - tau)^(1-theta), the identity at theta = 0, whose integrand is
+    smooth but for a power of u at u = 0: its panels halve toward 0 over 20
+    levels.  For large t the smooth remainder on [0, t-1] is summed on
+    panels that grow from width 1 at both ends, where the two factors vary
+    on the scale of 1 + tau and 1 + t - tau.
     """
-    if theta == 0.0:
-        return _composite_gauss(
-            lambda tau: (1.0 + t - tau) ** (-a) * (1.0 + tau) ** (-b),
-            _panels_from_both_ends(0.0, t),
-            rule,
-        )
     q = 1.0 / (1.0 - theta)
     split = t - 1.0 if t > 2.0 else 0.0
     total = 0.0

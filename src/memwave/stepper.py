@@ -101,9 +101,10 @@ class RunStatus:
 class ScenarioConfig:
     """Complete problem setup for one run.
 
-    ``amplitude`` (non-negative) scales the data so that ||u0||_H1 +
-    ||u1||_2 equals it; ``support_radius`` bounds the data support, which
-    then propagates inside the ball of radius t + support_radius.
+    ``amplitude`` (non-negative) scales the preset shapes so that
+    ||u0||_H1 + ||u1||_2 equals it, and leaves ``custom_data`` as given;
+    ``support_radius`` bounds the data support, which then propagates inside
+    the ball of radius t + support_radius.
     ``nonlinearity_enabled=False`` runs the plain linear flow through the
     same step with the forcing held at zero.  Every real field must be
     finite, and ``custom_data`` is given exactly when ``data_shape`` is
@@ -263,7 +264,8 @@ def make_initial_data(config: ScenarioConfig) -> FieldState:
     The preset profiles are strictly positive inside their support, so both
     components have positive mean; the scale is chosen so that
     ||u0||_H1 + ||u1||_2 equals ``amplitude`` exactly (zero amplitude gives
-    the zero state).
+    the zero state).  ``custom_data`` is taken as given: ``amplitude`` does
+    not scale it.
 
     The core width is support_radius / 7.  For the spectral support ringing
     to stay below :data:`EXTERIOR_MASS_BUDGET`, support_radius / dx must
@@ -284,9 +286,6 @@ def make_initial_data(config: ScenarioConfig) -> FieldState:
             raise ValueError("custom data shapes do not match the grid")
         return FieldState(grid, u0, u1, 0.0)
     profile = _bump_profile(grid.radius, config.support_radius, config.data_shape)
-    if config.amplitude == 0.0:
-        zero = np.zeros(grid.shape)
-        return FieldState(grid, zero, zero.copy(), 0.0)
     l2 = grid.l2_norm(profile)
     grad2 = sum(grid.l2_norm(c) ** 2 for c in grid.gradient(profile))
     h1 = math.sqrt(l2**2 + grad2)

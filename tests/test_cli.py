@@ -742,6 +742,36 @@ def test_held_row_survives_the_step_that_stops_the_run(name, phase, monkeypatch)
     assert row["exterior_energy"] == pytest.approx(want, rel=1e-12)
 
 
+#: |u|^p overflows in the first step, before the blow-up functional grows
+OVERFLOW_CONFIG = """
+n = 1
+points_per_dim = 256
+t_end = 5
+p = 4.5
+amplitude = 1e80
+"""
+
+
+@pytest.mark.parametrize(
+    "subcommand,extra,label",
+    [("simulate", "", "run"), ("sweep", "sweep_amplitude = 1.0, 1e80\n", "run_001")],
+)
+def test_numerical_failure_note_gives_its_time_and_reason(tmp_path, subcommand, extra, label):
+    code, out = run_cli(tmp_path, OVERFLOW_CONFIG + extra, subcommand)
+    assert code == 0
+    statuses = {row["label"]: row["status"] for row in read_csv(out / "summary.csv")}
+    assert statuses.pop(label) == "numerical_failure"
+    assert set(statuses.values()) <= {"completed"}
+    notes = [
+        line for line in (out / "summary.txt").read_text().splitlines()
+        if line.startswith("note: ")
+    ]
+    assert notes == [
+        f"note: {label}: numerical_failure at t = 0.037109375: "
+        "non-finite u or v before the blow-up functional grew"
+    ]
+
+
 SWEEP_THREE = SWEEP_CONFIG.replace("sweep_p = 2.0, 4.5", "sweep_p = 2.0, 3.0, 4.5")
 
 

@@ -411,6 +411,24 @@ def test_exponential_sum_self_check_holds_up_to_1e5_steps(gamma, ratio):
     assert np.max(np.abs(approx * tau**gamma - 1.0)) <= 1e-9
 
 
+@pytest.mark.parametrize("gamma", [1e-4, 0.001, 0.5, 0.9999])
+@pytest.mark.parametrize("ratio", [9.0, 1e6, 1e7])
+def test_exponential_sum_keeps_6_or_7_slow_terms_up_to_1e7_steps(gamma, ratio):
+    # the first Gauss rule within half the tolerance: no fit falls back to
+    # the trapezoid's slow terms, whose smallest rates underflow to 0
+    import memwave.frac_ops as frac_ops
+
+    horizon = 50.0
+    dt = horizon / ratio
+    rates, weights = exponential_sum(gamma, dt, horizon)
+    assert np.count_nonzero(rates < frac_ops.SOE_SLOW / horizon) in (6, 7)
+    assert (rates > 0.0).all() and (weights > 0.0).all()
+    # an independent tau grid, the ends included
+    tau = np.geomspace(dt, horizon, 5000)
+    approx = np.exp(-np.outer(tau, rates)) @ weights
+    assert np.max(np.abs(approx * tau**gamma - 1.0)) <= 1e-9
+
+
 @pytest.mark.parametrize("gamma", [0.001, 0.01, 0.1, 0.5, 0.9, 0.999])
 @pytest.mark.parametrize("ratio,most", [(200.0, 36), (3471.0, 45)])
 def test_exponential_sum_term_count_stays_bounded(gamma, ratio, most):
