@@ -13,19 +13,16 @@ from .criticality import (
     blow_up_scaling_exponents,
     classify,
     compute_exponents,
-    gamma_limits,
 )
 from .diagnostics import (
     DecayFit,
     TestFunctionParams,
     WeakPairing,
     cui_bound_check,
-    energy_W,
+    energy_W_from_norm,
     exterior_energy,
-    fit_decay,
     fit_decay_samples,
     gagliardo_ratio,
-    psi,
     psi_radial,
     weak_residual,
 )
@@ -34,8 +31,8 @@ from .frac_ops import (
     FracOrder,
     TimeGrid,
     TimeSeries,
+    adjointness_sides,
     cutoff_deriv_closed_form,
-    integration_by_parts_residual,
     inversion_residual,
     rl_deriv_left,
     rl_deriv_right,
@@ -74,7 +71,7 @@ __all__ = [
     "rl_deriv_left",
     "rl_deriv_right",
     "cutoff_deriv_closed_form",
-    "integration_by_parts_residual",
+    "adjointness_sides",
     "inversion_residual",
     "SpatialGrid",
     "FieldState",
@@ -97,16 +94,13 @@ __all__ = [
     "DataTraits",
     "RegimeVerdict",
     "compute_exponents",
-    "gamma_limits",
     "classify",
     "blow_up_scaling_exponents",
     "DecayFit",
     "TestFunctionParams",
-    "psi",
     "psi_radial",
-    "energy_W",
+    "energy_W_from_norm",
     "exterior_energy",
-    "fit_decay",
     "fit_decay_samples",
     "cui_bound_check",
     "gagliardo_ratio",

@@ -674,6 +674,10 @@ CUI_TRIPLES = (
 # The cui rows integrate by composite 24-point Gauss-Legendre on graded
 # panels: over their 360 integrals it is within 3.2e-13 relative of scipy's
 # weighted quad (QAWS), the oracle tests/test_diagnostics.py holds at 1e-11.
+# The gagliardo row bounds the worst of its nine weighted-interpolation
+# ratios, which read 0.0427 to 0.5620.  The inequality's constant is not
+# constructive, so the bound is the measured worst plus a margin: 0.6 lies
+# 6.8 % above it, far above the ratios' round-off.
 VERIFY_CHECKS: dict[tuple[str, str], tuple[float, str]] = {
     ("frac_inversion", "residual"): (0.02, "<="),
     ("frac_inversion", "order"): (0.8, ">="),
@@ -683,19 +687,18 @@ VERIFY_CHECKS: dict[tuple[str, str], tuple[float, str]] = {
     ("symbol_continuity", "k0_jump"): (1e-6, "<"),
     ("symbol_continuity", "k1_jump"): (1e-6, "<"),
     **{("cui", case): (0.01, "slope<=") for case, *_ in CUI_TRIPLES},
-    ("gagliardo", "ratio_table"): (math.inf, "finite"),
+    ("gagliardo", "ratio_table"): (0.6, "<="),
     ("weak_residual", "refinement_ratio"): (1.5, ">="),
 }
 
 # A measurement is the printed value, or (printed value, other quantity) for
 # a comparator that names one: "slope<=" takes the sup ratio and the slope
-# over the last decade, "finite" the worst ratio and every ratio.
+# over the last decade.
 _COMPARATORS = {
     "<": lambda value, threshold: value < threshold,
     "<=": lambda value, threshold: value <= threshold,
     ">=": lambda value, threshold: value >= threshold,
     "slope<=": lambda pair, threshold: math.isfinite(pair[0]) and pair[1] <= threshold,
-    "finite": lambda pair, threshold: all(math.isfinite(r) and r > 0.0 for r in pair[1]),
 }
 
 
@@ -784,7 +787,8 @@ def _verify_gagliardo_rows() -> dict:
         u = stepper._bump_profile(np.abs(grid.axis_coords - t), K, "gaussian_bump")
         for q, sigma in ((2.0, 1.0), (4.0, 0.5), (4.0, 1.0)):
             ratios.append(diagnostics.gagliardo_ratio(u, grid, t, q, sigma, K))
-    return {("gagliardo", "ratio_table"): (max([0.0, *ratios]), ratios)}
+    # np.max, not max: a NaN ratio makes the row's value NaN, which fails
+    return {("gagliardo", "ratio_table"): float(np.max(ratios))}
 
 
 def _weak_refinement_pair() -> float:

@@ -67,7 +67,13 @@ class ExponentSet:
 
 
 def compute_exponents(n: int, gamma: Number) -> ExponentSet:
-    """Evaluate every threshold exponent with the positive-part convention."""
+    """Evaluate every threshold exponent with the positive-part convention.
+
+    As gamma -> 1, p_gamma and p_1 tend to the heat threshold 1 + 2/n, p_2
+    tends to 3 at n = 2 and p_3 to 2 at n = 3.  The paper states the n = 2
+    limit of p_2 as the number 3; the gamma-dependent closed form
+    (2 gamma + 1)/(2 gamma - 1) equals 3 only at gamma = 1.
+    """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not (0 < gamma < 1):
@@ -92,72 +98,6 @@ def compute_exponents(n: int, gamma: Number) -> ExponentSet:
         p_2=p_2,
         p_3=p_3,
         sobolev_cap=cap,
-    )
-
-
-@dataclass(frozen=True)
-class LimitRow:
-    gamma: float
-    p_gamma: float
-    p_1: float
-    p_2: float
-    p_3: float
-    gap_p_gamma: float
-    gap_p_1: float
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    """Exponents along gamma = 1 - 10^-k and their distance to the limits."""
-
-    n: int
-    rows: tuple[LimitRow, ...]
-    target_p_gamma: float
-    target_p_1: float
-    target_p_2: float | None
-    target_p_3: float | None
-    notes: str
-
-
-def gamma_limits(n: int) -> LimitReport:
-    """Evaluate the gamma -> 1 limits against their expected targets.
-
-    Targets: p_gamma and p_1 converge to the heat threshold 1 + 2/n; p_2
-    converges to 3 at n = 2 and p_3 to 2 at n = 3.
-    """
-    if n not in (1, 2, 3):
-        raise ValueError(f"n must be 1, 2 or 3, got {n}")
-    target = float(fujita_exponent(n))
-    rows = []
-    for k in range(2, 7):
-        gamma = 1.0 - 10.0**-k
-        exps = compute_exponents(n, gamma)
-        rows.append(
-            LimitRow(
-                gamma=gamma,
-                p_gamma=float(exps.p_gamma),
-                p_1=float(exps.p_1),
-                p_2=float(exps.p_2),
-                p_3=float(exps.p_3),
-                gap_p_gamma=abs(float(exps.p_gamma) - target),
-                gap_p_1=abs(float(exps.p_1) - target),
-            )
-        )
-    notes = ""
-    if n == 2:
-        notes = (
-            "the n = 2 limit of p_2 is reported as the number 3; the "
-            "gamma-dependent closed form (2*gamma+1)/(2*gamma-1) equals 3 "
-            "only at gamma = 1"
-        )
-    return LimitReport(
-        n=n,
-        rows=tuple(rows),
-        target_p_gamma=target,
-        target_p_1=target,
-        target_p_2=3.0 if n == 2 else None,
-        target_p_3=2.0 if n == 3 else None,
-        notes=notes,
     )
 
 
@@ -245,7 +185,9 @@ def blow_up_scaling_exponents(n: int, gamma: Number, p: Number):
     With alpha = 1 - gamma and p' = p/(p-1):
     e_k = -(alpha + k) p' + n/2 + 1 for k = 2, 1.  Always e1 < e2, and
     e2 < 0 is algebraically equivalent to p < p_gamma (both reduce to
-    p (n - 2 + 2 gamma) < n + 2 when the denominator is positive).
+    p (n - 2 + 2 gamma) < n + 2 when the denominator is positive).  No run
+    output uses it: it is the sign identity that acceptance criterion 4
+    checks against ``compute_exponents``.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -263,14 +205,11 @@ __all__ = [
     "INF",
     "Number",
     "ExponentSet",
-    "LimitReport",
-    "LimitRow",
     "DataTraits",
     "RegimeVerdict",
     "VERDICT_TAGS",
     "fujita_exponent",
     "compute_exponents",
-    "gamma_limits",
     "classify",
     "blow_up_scaling_exponents",
 ]

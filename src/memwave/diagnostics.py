@@ -25,7 +25,7 @@ from .frac_ops import (
     trapezoid_weights,
 )
 from .spectral import FieldState, SpatialGrid
-from .stepper import Phase, SolutionHistory
+from .stepper import Phase, SolutionHistory, _quintic_rolloff
 
 
 # ---------------------------------------------------------------------------
@@ -50,25 +50,14 @@ def psi_radial(r, t: float, K: float):
     return vals if r_arr.ndim else float(vals)
 
 
-def psi(x, t: float, K: float) -> float:
-    """Weight at a spatial point x (any dimension)."""
-    r = float(np.sqrt(np.sum(np.square(np.asarray(x, dtype=float)))))
-    return float(psi_radial(r, t, K))
-
-
-def psi_lower_bound(r, t: float, K: float):
-    """The quadratic minorant r^2 / (4 (t + K))."""
-    r_arr = np.asarray(r, dtype=float)
-    vals = r_arr * r_arr / (4.0 * (t + K))
-    return vals if r_arr.ndim else float(vals)
-
-
 # ---------------------------------------------------------------------------
 # energies
 # ---------------------------------------------------------------------------
 
 def energy_weight_exponent(n: int, gamma: float) -> float:
     """Exponent j of the weighted energy (1+t)^j ||Du||_2 per dimension."""
+    if not (0.0 < gamma < 1.0):
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if n == 1:
         return n / 4.0 - 0.5 + gamma
     if n == 2:
@@ -78,16 +67,8 @@ def energy_weight_exponent(n: int, gamma: float) -> float:
     raise ValueError(f"n must be 1, 2 or 3, got {n}")
 
 
-def energy_W(state: FieldState, n: int, gamma: float) -> float:
-    """Weighted energy (1 + t)^j ||(u_t, grad u)||_2."""
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    j = energy_weight_exponent(n, gamma)
-    return (1.0 + state.time) ** j * state.energy_l2()
-
-
 def energy_W_from_norm(t: float, l2_du: float, n: int, gamma: float) -> float:
-    """Same weighted energy evaluated from an already-recorded ||Du||_2."""
+    """Weighted energy (1 + t)^j ||(u_t, grad u)||_2 from a recorded ||Du||_2."""
     return (1.0 + t) ** energy_weight_exponent(n, gamma) * l2_du
 
 
@@ -202,10 +183,6 @@ def fit_decay_samples(times, values, window: tuple[float, float]) -> DecayFit:
         window=(t_lo, t_hi),
         n_samples=int(mask.sum()),
     )
-
-
-def fit_decay(series: TimeSeries, window: tuple[float, float]) -> DecayFit:
-    return fit_decay_samples(series.grid.times, series.values, window)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +369,7 @@ def gagliardo_ratio(
 
 def cutoff_profile(r):
     """C^2 monotone quintic cutoff: 1 on [0, 1], 0 on [2, inf)."""
-    s = np.clip(np.asarray(r, dtype=float) - 1.0, 0.0, 1.0)
-    return 1.0 - (10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5)
+    return _quintic_rolloff(np.asarray(r, dtype=float) - 1.0)
 
 
 def cutoff_profile_d1(r):
@@ -577,16 +553,12 @@ def weak_residual(
 
 
 __all__ = [
-    "psi",
     "psi_radial",
-    "psi_lower_bound",
     "energy_weight_exponent",
-    "energy_W",
     "energy_W_from_norm",
     "ExteriorEnergy",
     "exterior_energy",
     "DecayFit",
-    "fit_decay",
     "fit_decay_samples",
     "CuiReport",
     "cui_bound_check",

@@ -537,25 +537,18 @@ def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
 def adjointness_sides(
     f: TimeSeries, g: TimeSeries, order: FracOrder
 ) -> tuple[float, float]:
-    """The two pairing integrals int (D^a_{0|t} f) g dt and int f (D^a_{t|T} g) dt."""
+    """The two pairing integrals int (D^a_{0|t} f) g dt and int f (D^a_{t|T} g) dt.
+
+    A small |lhs - rhs| certifies that the discrete left and right
+    derivatives are mutually adjoint up to discretization error; it is
+    ``verify``'s ``frac_adjoint`` row.
+    """
     if f.grid != g.grid:
         raise ValueError("series must share one grid")
     w = trapezoid_weights(f.grid)
     lhs = float(np.dot(w, rl_deriv_left(f, order).values * g.values))
     rhs = float(np.dot(w, f.values * rl_deriv_right(g, order).values))
     return lhs, rhs
-
-
-def integration_by_parts_residual(
-    f: TimeSeries, g: TimeSeries, order: FracOrder
-) -> float:
-    """Absolute mismatch of the two pairing integrals (trapezoid weights).
-
-    Small values certify that the discrete left and right derivatives are
-    mutually adjoint up to discretization error.
-    """
-    lhs, rhs = adjointness_sides(f, g, order)
-    return abs(lhs - rhs)
 
 
 def inversion_residual(g: TimeSeries, order: FracOrder) -> float:
@@ -582,7 +575,6 @@ __all__ = [
     "rl_deriv_left",
     "rl_deriv_right",
     "cutoff_deriv_closed_form",
-    "integration_by_parts_residual",
     "adjointness_sides",
     "inversion_residual",
     "grid_derivative",

@@ -97,6 +97,8 @@ class SpatialGrid:
     even: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if not 0.0 < self.half_length < math.inf:
@@ -414,8 +416,8 @@ class FieldState:
         object.__setattr__(self, "v", v)
         if u.shape != self.grid.shape or v.shape != self.grid.shape:
             raise ValueError("field shapes do not match the grid")
-        if self.time < 0.0:
-            raise ValueError("time must be nonnegative")
+        if not 0.0 <= self.time < math.inf:
+            raise ValueError(f"time must be nonnegative and finite, got {self.time}")
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("state contains non-finite samples")
 
@@ -480,7 +482,8 @@ def linear_evolve(state0: FieldState, t: float) -> FieldState:
     """Advance the free (zero forcing) flow by a duration t >= 0.
 
     Exact per Fourier mode, so the semigroup property holds to round-off and
-    t = 0 reproduces the input state.
+    t = 0 reproduces the input state.  No run calls it: it is the exact free
+    flow that the stepper and diagnostics tests compare against.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")

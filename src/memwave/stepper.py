@@ -239,10 +239,16 @@ class SolutionHistory:
 # initial data
 # ---------------------------------------------------------------------------
 
+def _quintic_rolloff(s) -> np.ndarray:
+    """C^2 monotone step 1 - (10 s^3 - 15 s^4 + 6 s^5) of s clipped to [0, 1]:
+    1 for s <= 0, 0 for s >= 1."""
+    s = np.clip(s, 0.0, 1.0)
+    return 1.0 - (10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5)
+
+
 def _support_rolloff(r: np.ndarray, radius: float) -> np.ndarray:
     """C^2 quintic rolloff: 1 below 0.8*radius, exactly 0 beyond 0.95*radius."""
-    s = np.clip((r - 0.8 * radius) / (0.15 * radius), 0.0, 1.0)
-    return 1.0 - (10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5)
+    return _quintic_rolloff((r - 0.8 * radius) / (0.15 * radius))
 
 
 def _bump_profile(r: np.ndarray, radius: float, shape: str) -> np.ndarray:
@@ -322,6 +328,10 @@ class MemoryConvolution:
         return self.scale * acc
 
     def value_at(self, samples: np.ndarray, m: int) -> np.ndarray:
+        """The node-m integral from every sample up to m, by the direct sum.
+
+        :func:`run` never calls it; it is the oracle that the tests hold the
+        loop's forcing to."""
         if m == 0:
             return np.zeros_like(samples[0])
         return self.known_part(samples, m) + self.tail_weight * samples[m]

@@ -855,6 +855,25 @@ def test_verify_failing_measurement_reads_false_with_a_note(tmp_path, monkeypatc
     assert "note: one or more verification rows failed" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("planted", [2.0, math.inf, math.nan])
+def test_verify_gagliardo_row_fails_on_a_planted_ratio(monkeypatch, planted):
+    # one of the nine ratios replaced by a multiple of the measured worst
+    pair = ("gagliardo", "ratio_table")
+    worst = cli_mod._verify_gagliardo_rows()[pair]
+    assert cli_mod._verify_row(*pair, worst)["passed"]
+    measure = cli_mod.diagnostics.gagliardo_ratio
+    calls = []
+
+    def planted_ratio(*args):
+        calls.append(None)
+        return planted * worst if len(calls) == 5 else measure(*args)
+
+    monkeypatch.setattr(cli_mod.diagnostics, "gagliardo_ratio", planted_ratio)
+    row = cli_mod._verify_row(*pair, cli_mod._verify_gagliardo_rows()[pair])
+    assert len(calls) == 9
+    assert row["passed"] is False
+
+
 def test_verify_missing_measurement_is_an_infrastructure_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "_weak_refinement_pair", lambda: 2.0)
     monkeypatch.setattr(cli_mod, "_verify_symbol_rows", lambda: {})

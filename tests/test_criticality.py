@@ -14,7 +14,6 @@ from memwave.criticality import (
     classify,
     compute_exponents,
     fujita_exponent,
-    gamma_limits,
 )
 
 rational_gamma = st.fractions(
@@ -86,20 +85,21 @@ def test_ordering_p_gamma_below_dimension_thresholds(n, gamma):
 
 
 def test_limit_report_values():
-    rep1 = gamma_limits(1)
-    assert rep1.rows[-1].gap_p_gamma <= 1e-4
-    assert rep1.rows[-1].gap_p_1 <= 1e-4
-    gaps = [row.gap_p_gamma for row in rep1.rows]
+    def limit_rows(n):
+        return [compute_exponents(n, 1.0 - 10.0**-k) for k in range(2, 7)]
+
+    target = float(fujita_exponent(1))
+    rows1 = limit_rows(1)
+    assert abs(float(rows1[-1].p_gamma) - target) <= 1e-4
+    assert abs(float(rows1[-1].p_1) - target) <= 1e-4
+    gaps = [abs(float(row.p_gamma) - target) for row in rows1]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))  # monotone approach
 
-    rep2 = gamma_limits(2)
-    assert abs(rep2.rows[-1].p_2 - 3.0) <= 1e-3
-    assert rep2.notes  # the notational oddity is flagged
+    rows2 = limit_rows(2)
+    assert abs(float(rows2[-1].p_2) - 3.0) <= 1e-3
 
-    rep3 = gamma_limits(3)
-    assert abs(rep3.rows[-1].p_3 - 2.0) <= 1e-4
-    with pytest.raises(ValueError):
-        gamma_limits(4)
+    rows3 = limit_rows(3)
+    assert abs(float(rows3[-1].p_3) - 2.0) <= 1e-4
 
 
 # ---------------------------------------------------------------------------

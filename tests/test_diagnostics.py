@@ -15,14 +15,11 @@ from memwave.diagnostics import (
     cui_bound_check,
     cutoff_profile,
     cutoff_profile_d1,
-    energy_W,
+    energy_W_from_norm,
     energy_weight_exponent,
     exterior_energy,
-    fit_decay,
     fit_decay_samples,
     gagliardo_ratio,
-    psi,
-    psi_lower_bound,
     psi_radial,
     singular_convolution_case,
     WeakPairing,
@@ -41,12 +38,12 @@ from memwave.stepper import ScenarioConfig, run
 
 def test_psi_zero_at_origin():
     for t in (0.0, 1.0, 10.0):
-        assert psi(np.zeros(3), t, 2.0) == 0.0
+        assert psi_radial(np.linalg.norm(np.zeros(3)), t, 2.0) == 0.0
 
 
 def test_psi_rejects_points_outside_cone():
     with pytest.raises(ValueError):
-        psi(np.array([3.0]), 1.0, 2.0)
+        psi_radial(np.linalg.norm(np.array([3.0])), 1.0, 2.0)
     with pytest.raises(ValueError):
         psi_radial(5.0, 1.0, 2.0)
 
@@ -57,7 +54,7 @@ def test_psi_lower_bound_on_dense_sample():
     for t in (0.0, 0.5, 3.0, 50.0):
         r = rng.uniform(0.0, (t + K) * 0.999999, 2000)
         vals = psi_radial(r, t, K)
-        assert np.all(vals >= psi_lower_bound(r, t, K) - 1e-14)
+        assert np.all(vals >= r * r / (4.0 * (t + K)) - 1e-14)
         assert np.all(vals >= 0.0)
 
 
@@ -86,12 +83,15 @@ def test_energy_weight_exponent_values():
     assert energy_weight_exponent(3, 0.8) == pytest.approx(0.8)
     with pytest.raises(ValueError):
         energy_weight_exponent(4, 0.9)
+    for gamma in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            energy_weight_exponent(1, gamma)
 
 
 def test_energy_W_zero_state():
     grid = SpatialGrid(1, 8.0, 64)
     state = FieldState(grid, np.zeros(grid.shape), np.zeros(grid.shape), 3.0)
-    assert energy_W(state, 1, 0.9) == 0.0
+    assert energy_W_from_norm(state.time, state.energy_l2(), 1, 0.9) == 0.0
 
 
 def test_energy_W_scales_with_weight():
@@ -100,7 +100,9 @@ def test_energy_W_scales_with_weight():
     prof = np.exp(-(x**2))
     s0 = FieldState(grid, prof, prof, 0.0)
     s3 = FieldState(grid, prof, prof, 3.0)
-    assert energy_W(s3, 1, 0.9) == pytest.approx(4.0**0.65 * energy_W(s0, 1, 0.9))
+    w0 = energy_W_from_norm(s0.time, s0.energy_l2(), 1, 0.9)
+    w3 = energy_W_from_norm(s3.time, s3.energy_l2(), 1, 0.9)
+    assert w3 == pytest.approx(4.0**0.65 * w0)
 
 
 def test_exterior_energy_full_domain_at_time_zero():
@@ -239,7 +241,7 @@ def test_exterior_energy_region_empty_at_the_largest_radius(even):
 def test_fit_decay_exact_power_law():
     grid = TimeGrid(0.5, 400)
     series = TimeSeries(grid, (1.0 + grid.times) ** -0.75)
-    fit = fit_decay(series, (20.0, 200.0))
+    fit = fit_decay_samples(series.grid.times, series.values, (20.0, 200.0))
     assert fit.exponent == pytest.approx(-0.75, abs=0.01)
     assert fit.r_squared >= 0.999
 
@@ -247,7 +249,7 @@ def test_fit_decay_exact_power_law():
 def test_fit_decay_constant():
     grid = TimeGrid(0.5, 400)
     series = TimeSeries(grid, np.full(grid.n_nodes, 2.5))
-    fit = fit_decay(series, (20.0, 200.0))
+    fit = fit_decay_samples(series.grid.times, series.values, (20.0, 200.0))
     assert fit.exponent == pytest.approx(0.0, abs=0.01)
 
 
@@ -255,14 +257,14 @@ def test_fit_decay_rejects_bad_windows():
     grid = TimeGrid(0.5, 400)
     series = TimeSeries(grid, np.ones(grid.n_nodes))
     with pytest.raises(ValueError):
-        fit_decay(series, (200.0, 20.0))
+        fit_decay_samples(series.grid.times, series.values, (200.0, 20.0))
     with pytest.raises(ValueError):
-        fit_decay(series, (199.0, 200.5))  # fewer than 10 samples
+        fit_decay_samples(series.grid.times, series.values, (199.0, 200.5))  # fewer than 10 samples
     values = np.ones(grid.n_nodes)
     values[80] = -1.0
     bad = TimeSeries(grid, values)
     with pytest.raises(ValueError):
-        fit_decay(bad, (20.0, 200.0))
+        fit_decay_samples(bad.grid.times, bad.values, (20.0, 200.0))
 
 
 def test_fit_decay_noisy_power_law_r_squared():

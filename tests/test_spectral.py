@@ -57,6 +57,14 @@ def test_grid_rejects_a_non_integer_points_per_dim(points):
     assert SpatialGrid(1, 10.0, np.int64(64)).shape == (64,)
 
 
+@pytest.mark.parametrize("dim", [1.0, np.float64(2.0), True, np.True_, "1"])
+def test_grid_rejects_a_non_integer_dim(dim):
+    with pytest.raises(ValueError, match="dim"):
+        SpatialGrid(dim, 8.0, 64)
+    # numpy's integers are integers
+    assert SpatialGrid(np.int64(2), 8.0, 64).shape == (64, 64)
+
+
 def test_grid_frequency_set_is_symmetric(grid1d):
     full = 2.0 * np.pi * np.fft.fftfreq(grid1d.points_per_dim, d=grid1d.dx)
     nonzero = full[np.abs(full) > 0]
@@ -118,6 +126,13 @@ def test_field_state_validation(grid1d):
     bad[0] = np.nan
     with pytest.raises(ValueError):
         FieldState(grid1d, bad, good, 0.0)
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, np.float64(np.nan)])
+def test_field_state_rejects_a_non_finite_time(grid1d, time):
+    good = np.zeros(grid1d.shape)
+    with pytest.raises(ValueError, match="time"):
+        FieldState(grid1d, good, good, time)
 
 
 # ---------------------------------------------------------------------------
